@@ -2,7 +2,8 @@
 
 The determinism tests prove runs repeat bit-identically *within* one
 code version; this suite pins the actual numbers *across* versions.
-Table I rows, Table II rows and one Figure 4 panel are computed at a
+Table I rows, Table II rows, one Figure 4 panel and two config-only
+fork-join variants (multicast fork, fork width 4) are computed at a
 fixed seed set on the small platform and compared, value for value,
 against JSON files checked into ``tests/experiments/golden/`` — a
 refactor that silently drifts any paper output fails here even if it is
@@ -86,6 +87,32 @@ def test_table1_rows_match_golden(update_golden):
 def test_table2_rows_match_golden(update_golden):
     rows = table2_from_runs(_table_runs(TABLE2_FAULTS))
     check_golden("table2_rows", rows, update_golden)
+
+
+#: Config-only task-graph variants pinned by ``fork_join_variants.json``.
+FORK_JOIN_VARIANTS = {
+    "multicast_fork": {"multicast_fork": True},
+    "fork_width4": {"fork_width": 4},
+}
+
+
+def test_fork_join_variant_rows_match_golden(update_golden):
+    """Rows and app stats of the multicast and wide-fork variants of the
+    config-only fork-join application, one cell per model."""
+    payload = {}
+    for name, overrides in FORK_JOIN_VARIANTS.items():
+        for model in MODELS:
+            result = run_single(
+                model,
+                seed=FIGURE4_SEED,
+                faults=FIGURE4_FAULTS,
+                config=CONFIG.replace(**overrides),
+            )
+            payload["{}/{}".format(name, model)] = {
+                "row": result.as_row(),
+                "app_stats": result.app_stats,
+            }
+    check_golden("fork_join_variants", payload, update_golden)
 
 
 def test_figure4_panel_matches_golden(update_golden):

@@ -112,16 +112,81 @@ def _strip_workload(result):
     return row
 
 
-def test_fork_join_spec_reproduces_legacy_run_bit_identically():
-    legacy = run_single("ffw", seed=7, faults=3, config=_CONFIG,
+#: ``(config overrides, fork_join_spec kwargs)`` per variant: each config
+#: task-graph field next to the spec argument it must translate to.
+_FORK_JOIN_VARIANTS = {
+    "default": ({}, {}),
+    "fork_width1": ({"fork_width": 1}, {"fork_width": 1}),
+    "fork_width2": ({"fork_width": 2}, {"fork_width": 2}),
+    "fork_width4": ({"fork_width": 4}, {"fork_width": 4}),
+    "multicast": ({"multicast_fork": True}, {"multicast": True}),
+    "multicast_width4": (
+        {"multicast_fork": True, "fork_width": 4},
+        {"multicast": True, "fork_width": 4},
+    ),
+    "flits8": ({"packet_flits": 8}, {"packet_flits": 8}),
+    "deadline4000": (
+        {"packet_deadline_us": 4_000}, {"deadline_us": 4_000},
+    ),
+    "period2500": (
+        {"generation_period_us": 2_500}, {"generation_period_us": 2_500},
+    ),
+    "service_times": (
+        {"source_service_us": 700, "branch_service_us": 9_000,
+         "sink_service_us": 2_000},
+        {"source_service_us": 700, "branch_service_us": 9_000,
+         "sink_service_us": 2_000},
+    ),
+    "balanced": ({"initial_mapping": "balanced"}, {}),
+    "clustered": ({"initial_mapping": "clustered"}, {}),
+    # A short watchdog so the killed nodes recover (and get remapped)
+    # inside the horizon.
+    "fault_aware_remap": (
+        {"recovery_remap": "fault-aware", "watchdog_recovery": True,
+         "watchdog_timeout_us": 20_000},
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("model", ["none", "ni", "ffw"])
+@pytest.mark.parametrize("variant", sorted(_FORK_JOIN_VARIANTS))
+def test_fork_join_spec_reproduces_legacy_run_bit_identically(
+    variant, model
+):
+    """A config-only cell runs exactly the explicit ``fork_join_spec``
+    built from the same task-graph fields; only the row's ``workload``
+    name tells them apart."""
+    overrides, spec_kwargs = _FORK_JOIN_VARIANTS[variant]
+    config = _CONFIG.replace(**overrides)
+    legacy = run_single(model, seed=7, faults=3, config=config,
                         keep_series=True)
-    spec = run_single("ffw", seed=7, faults=3, config=_CONFIG,
-                      keep_series=True, workload=fork_join_spec())
+    spec = run_single(model, seed=7, faults=3, config=config,
+                      keep_series=True,
+                      workload=fork_join_spec(**spec_kwargs))
+    assert legacy.workload is None
     assert spec.workload == "fork_join"
     assert _strip_workload(spec) == _strip_workload(legacy)
     assert spec.noc_stats == legacy.noc_stats
     assert spec.app_stats == legacy.app_stats
     assert spec.series.as_dict() == legacy.series.as_dict()
+
+
+def test_config_only_load_aware_balances_the_static_weights():
+    """Config-only ``load_aware`` falls back to the static 1:3:1 weights,
+    so it places exactly like ``balanced``; balancing the compiled
+    workload's demand weights would move nodes (and joins)."""
+    load_aware = run_single(
+        "ffw", seed=7, faults=3, keep_series=True,
+        config=_CONFIG.replace(initial_mapping="load_aware"),
+    )
+    balanced = run_single(
+        "ffw", seed=7, faults=3, keep_series=True,
+        config=_CONFIG.replace(initial_mapping="balanced"),
+    )
+    assert load_aware.as_row() == balanced.as_row()
+    assert load_aware.app_stats == balanced.app_stats
+    assert load_aware.series.as_dict() == balanced.series.as_dict()
 
 
 def test_fork_join_spec_matches_legacy_across_fast_path():
