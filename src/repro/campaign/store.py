@@ -2,8 +2,10 @@
 
 One :class:`ResultStore` wraps a campaign directory.  Finished cells are
 appended to ``results.jsonl`` as they complete — the checkpoint stream —
-and loaded back into memory once on open (last record per key wins, so a
-truncated final line from a crash costs only itself).  Records are keyed
+and loaded back into memory once on open (last record per key wins, and
+only newline-terminated lines count, so a truncated final line from a
+crash costs only itself; the next append terminates it first instead of
+gluing a record onto it).  Records are keyed
 by :meth:`RunDescriptor.key`; see the package docstring for the
 stability contract.
 
@@ -64,6 +66,49 @@ def encode_line(record):
     reuse *byte*-identical, not merely value-identical.
     """
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def iter_jsonl(path, start=0):
+    """Yield ``(line_start, line_end, record)`` per *complete* line.
+
+    Byte-offset based (binary read).  A final line without a newline — a
+    torn append still in flight — is never yielded, so its bytes stay
+    below the scan watermark and are revisited once the line completes.
+    Complete but unparsable lines yield ``record=None``: they advance
+    the watermark (gc counts and drops them).
+    """
+    with open(path, "rb") as handle:
+        if start:
+            handle.seek(start)
+        offset = start
+        for line in handle:
+            end = offset + len(line)
+            if not line.endswith(b"\n"):
+                return  # torn tail
+            begin, offset = offset, end
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except (ValueError, UnicodeDecodeError):
+                record = None
+            if not isinstance(record, dict):
+                record = None
+            yield begin, end, record
+
+
+def _ends_torn(path):
+    """True when ``path`` ends in a line without its newline.
+
+    Under the one-writer-per-stream contract a torn tail found before
+    the first append belongs to a dead writer, so both append sites
+    (:meth:`ResultStore.save_record`, :meth:`ResultStore.reconcile`)
+    terminate it first instead of gluing the next record onto it.
+    """
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(-1, os.SEEK_END)
+            return handle.read(1) != b"\n"
+    except OSError:
+        return False  # missing or empty stream
 
 
 class StoredSeries:
@@ -211,22 +256,12 @@ class ResultStore:
                 self._scan_file(path)
 
     def _scan_file(self, path):
-        """Fold one JSONL stream into the memoised record map."""
+        """Fold one JSONL stream's complete lines into the memoised
+        record map — the same lines gc, the index and rows read."""
         self.scans += 1
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue  # torn final line from an interrupted append
-                if not isinstance(record, dict):
-                    continue  # valid JSON, but not a record
-                key = record.get("key")
-                if key:
-                    self._records[key] = record
+        for _begin, _end, record in iter_jsonl(path):
+            if record is not None and record.get("key"):
+                self._records[record["key"]] = record
 
     def __len__(self):
         return len(self._records)
@@ -271,7 +306,10 @@ class ResultStore:
         if not record.get("key"):
             raise ValueError("store records need a non-empty 'key'")
         if self._handle is None:
+            torn = _ends_torn(self.write_path)
             self._handle = open(self.write_path, "a")
+            if torn:
+                self._handle.write("\n")
         self._handle.write(encode_line(record))
         self._handle.write("\n")
         self._handle.flush()
@@ -300,6 +338,7 @@ class ResultStore:
             return 0
         self.close()
         folded = 0
+        torn = _ends_torn(self.path)
         with open(self.path, "a") as out:
             for path in paths:
                 consumed = 0
@@ -321,6 +360,9 @@ class ResultStore:
                         if not isinstance(record, dict) or not record.get(
                                 "key"):
                             continue
+                        if torn:
+                            out.write("\n")
+                            torn = False
                         out.write(line.decode("utf-8"))
                         folded += 1
                     consumed += progressed

@@ -86,39 +86,92 @@ def test_duplicate_keys_last_write_wins(writes):
             assert store.get(key)["total_switches"] == value
 
 
-@given(
-    keys=st.lists(
-        st.text("abcdef0123456789", min_size=4, max_size=12),
-        min_size=1, max_size=12, unique=True,
-    ),
-    data=st.data(),
+cut_keys = st.lists(
+    st.text("abcdef0123456789", min_size=4, max_size=12),
+    min_size=1, max_size=12, unique=True,
 )
+
+
+def write_cut_stream(path, keys, data):
+    """Write the records of ``keys`` cut at a drawn byte offset (a crash
+    mid-append); returns ``(fully_written, started)`` key sets."""
+    lines = [
+        (encode_line(make_record(k, i)) + "\n").encode("utf-8")
+        for i, k in enumerate(keys)
+    ]
+    blob = b"".join(lines)
+    # Besides arbitrary offsets, favour the two cuts that matter most:
+    # on a line boundary, and after a closing brace but before its
+    # newline (a complete record whose line is still torn).
+    ends = []
+    for line in lines:
+        ends.append((ends[-1] if ends else 0) + len(line))
+    cut = data.draw(st.one_of(
+        st.integers(min_value=0, max_value=len(blob)),
+        st.sampled_from(ends + [end - 1 for end in ends]),
+    ))
+    with open(path, "wb") as handle:
+        handle.write(blob[:cut])
+    consumed = 0
+    fully_written = set()
+    started = set()
+    for key, line in zip(keys, lines):
+        if consumed + len(line) <= cut:
+            fully_written.add(key)
+        if consumed < cut:
+            started.add(key)
+        consumed += len(line)
+    return fully_written, started
+
+
+@given(keys=cut_keys, data=st.data())
 @SETTINGS
 def test_truncation_never_invents_records(keys, data):
     """A crash can cut the stream anywhere; the reader keeps exactly the
-    complete prefix (± the final line when the cut lands on its closing
-    brace) and never yields a record that was not written."""
-    lines = [encode_line(make_record(k, i)) + "\n" for i, k in enumerate(keys)]
-    blob = "".join(lines).encode("utf-8")
-    cut = data.draw(st.integers(min_value=0, max_value=len(blob)))
+    complete-line prefix (a final line without its newline is torn, even
+    when the cut lands on its closing brace) and never yields a record
+    that was not written."""
     with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "results.jsonl")
-        with open(path, "wb") as handle:
-            handle.write(blob[:cut])
+        fully_written, _started = write_cut_stream(
+            os.path.join(directory, "results.jsonl"), keys, data
+        )
         store = ResultStore(directory)
-        consumed = 0
-        fully_before = set()
-        started_before = set()
-        for key, line in zip(keys, lines):
-            if consumed + len(line.encode("utf-8")) <= cut:
-                fully_before.add(key)
-            if consumed < cut:
-                started_before.add(key)
-            consumed += len(line.encode("utf-8"))
-        loaded = set(store.keys())
-        assert fully_before <= loaded <= started_before
-        for key in loaded:
+        assert set(store.keys()) == fully_written
+        for key in store.keys():
             assert store.get(key) == make_record(key, keys.index(key))
+
+
+@given(keys=cut_keys, data=st.data(), via_reconcile=st.booleans())
+@SETTINGS
+def test_append_after_torn_tail_keeps_every_record(keys, data,
+                                                   via_reconcile):
+    """Cut the main stream anywhere, reopen, then append a record —
+    directly or by reconciling a worker stream — and reopen again:
+    every fully written record and the new one load; a torn tail never
+    swallows the next append."""
+    fresh = make_record("fresh", 99)
+    with tempfile.TemporaryDirectory() as directory:
+        fully_written, started = write_cut_stream(
+            os.path.join(directory, "results.jsonl"), keys, data
+        )
+        store = ResultStore(directory)
+        if via_reconcile:
+            write_lines(
+                os.path.join(directory, worker_results_file(1)),
+                [encode_line(fresh) + "\n"],
+            )
+            assert store.reconcile() == 1
+        else:
+            store.save_record(fresh)
+            store.close()
+        reopened = ResultStore(directory)
+        loaded = set(reopened.keys())
+        # A tail cut after its closing brace becomes a complete line once
+        # the newline lands; it is a record that was written in full.
+        assert fully_written | {"fresh"} <= loaded <= started | {"fresh"}
+        assert reopened.get("fresh") == fresh
+        for key in loaded - {"fresh"}:
+            assert reopened.get(key) == make_record(key, keys.index(key))
 
 
 line_kinds = st.one_of(
