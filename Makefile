@@ -52,8 +52,8 @@ dynamics-smoke:
 	$(PYTHON) -m benchmarks.harness --dynamics-smoke
 
 # Declarative-workload gate: a burst workload must run and repeat
-# bit-identically, the builtin fork_join spec must reproduce the legacy
-# application exactly, workload-free cell keys must replicate the
+# bit-identically, a config-only cell must match the explicit builtin
+# fork_join spec exactly, workload-free cell keys must replicate the
 # pre-workload hash recipe, and the capacity lint must flag an arrival
 # rate the platform cannot sustain.
 workload-smoke:

@@ -37,10 +37,10 @@ Workload / examples smoke gates
 -------------------------------
 ``--workload-smoke`` (``make workload-smoke``) gates the declarative
 workload subsystem: a burst-driven workload runs and repeats
-bit-identically, the builtin ``fork_join`` spec reproduces the legacy
-application's row and series exactly, workload-free cell keys replicate
-the pre-workload hash recipe, and the capacity lint flags an arrival
-rate the platform cannot sustain.  ``--examples-smoke``
+bit-identically, a config-only cell and the explicit builtin
+``fork_join`` spec give the same row and series, workload-free cell
+keys replicate the pre-workload hash recipe, and the capacity lint
+flags an arrival rate the platform cannot sustain.  ``--examples-smoke``
 (``make examples-smoke``) executes every ``examples/*.py`` script and
 fails on a non-zero exit.
 
@@ -346,11 +346,11 @@ def run_workload_smoke(seed=7):
     """Declarative-workload gate evidence (PR 7).
 
     Four legs: a burst-driven workload must run and repeat
-    bit-identically; the builtin ``fork_join`` spec must reproduce the
-    legacy application's row and series bit-identically; a cell without
-    a workload must keep its pre-workload content key (the ``workload``
-    entry joins the payload only when present); and the capacity lint
-    must flag an arrival rate the platform cannot sustain.
+    bit-identically; a config-only cell and the explicit builtin
+    ``fork_join`` spec must give bit-identical rows and series; a cell
+    without a workload must keep its pre-workload content key (the
+    ``workload`` entry joins the payload only when present); and the
+    capacity lint must flag an arrival rate the platform cannot sustain.
     """
     import hashlib
 
@@ -376,12 +376,12 @@ def run_workload_smoke(seed=7):
         and first.app_stats == second.app_stats
     )
 
-    legacy, via_spec = run(), run(fork_join_spec())
-    legacy_row, spec_row = legacy.as_row(), via_spec.as_row()
+    config_only, via_spec = run(), run(fork_join_spec())
+    config_row, spec_row = config_only.as_row(), via_spec.as_row()
     spec_row.pop("workload", None)
     fork_join_identical = (
-        legacy_row == spec_row
-        and legacy.series.as_dict() == via_spec.series.as_dict()
+        config_row == spec_row
+        and config_only.series.as_dict() == via_spec.series.as_dict()
     )
 
     base = RunDescriptor("ffw", seed, 2, config)
@@ -431,8 +431,8 @@ def check_workload_smoke(smoke):
         return "workload-smoke: repeated burst run was not bit-identical"
     if not smoke["fork_join_identical"]:
         return (
-            "workload-smoke: the fork_join spec diverged from the legacy "
-            "application"
+            "workload-smoke: the fork_join spec diverged from the "
+            "config-only cell"
         )
     if not smoke["keys_conserved"]:
         return (
@@ -822,7 +822,8 @@ def _render_workload(workload):
     print("  {:<36} {}".format(
         "burst repeats identical", workload["burst_identical"]))
     print("  {:<36} {}".format(
-        "fork_join spec == legacy", workload["fork_join_identical"]))
+        "fork_join spec == config-only cell",
+        workload["fork_join_identical"]))
     print("  {:<36} {}".format(
         "workload-free keys conserved", workload["keys_conserved"]))
     print("  {:<36} {}".format(
@@ -964,7 +965,8 @@ def build_parser():
     parser.add_argument(
         "--workload-smoke", action="store_true",
         help="run the declarative-workload gate (burst runs repeat "
-             "bit-identically, fork_join spec matches the legacy app, "
+             "bit-identically, fork_join spec matches a config-only "
+             "cell, "
              "workload-free keys conserved, capacity lint flags "
              "over-capacity arrivals)",
     )

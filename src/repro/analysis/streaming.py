@@ -11,8 +11,8 @@ O(rows) — no list of rows exists anywhere in the aggregation path.
 Each row lands in one group keyed by **model × scenario-family ×
 workload** (:func:`group_key`): the scenario-family is the scenario name
 for scenario-driven rows and ``faults=N`` for legacy uniform bursts, the
-workload is the declarative spec name or ``-`` for the legacy fork-join
-application.  Per group, every metric column keeps a
+workload is the declarative spec name or ``-`` for a config-only
+fork-join cell.  Per group, every metric column keeps a
 :class:`StreamStats` — count, Welford mean/variance, exact min/max and a
 bounded :class:`StreamingHistogram` quantile sketch (Ben-Haim/Yom-Tov
 style centroid merging: exact below ``max_bins`` samples, bounded-error
@@ -196,7 +196,7 @@ def group_key(row):
     The *family* collapses the fault axis the way the paper's tables
     do: scenario-driven rows group under their scenario name, legacy
     uniform bursts under ``faults=N``.  The workload is the declarative
-    spec name, ``-`` for the legacy fork-join application.
+    spec name, ``-`` for a config-only fork-join cell.
     """
     scenario = row.get("scenario")
     family = (

@@ -4,35 +4,27 @@ The paper's workload is the Figure 3 fork-join task graph ("out-tree and an
 in-tree phase ... the ratio experimented with is 1:3:1"): task 1 sources
 fork work into three task-2 branches which join at task 3, and the goal is
 to maximise the number of concurrently-sustained instances of this graph.
+It is the builtin ``fork_join`` spec of the declarative workload library
+(:mod:`repro.app.workloads`), run — like every other spec — by
+:class:`GraphWorkload`.
 """
 
-from repro.app.mapping import (
-    balanced_mapping,
-    clustered_mapping,
-    random_mapping,
-)
 from repro.app.metrics import MetricsSampler, MetricsSeries
-from repro.app.taskgraph import Task, TaskGraph, fork_join_graph
-from repro.app.workload import ForkJoinWorkload
+from repro.app.taskgraph import Task, TaskGraph
 from repro.app.workloads import (
     GraphWorkload,
-    Workload,
     WorkloadSpec,
+    fork_join_spec,
     load_workload,
 )
 
 __all__ = [
     "Task",
     "TaskGraph",
-    "fork_join_graph",
-    "ForkJoinWorkload",
     "GraphWorkload",
-    "Workload",
     "WorkloadSpec",
+    "fork_join_spec",
     "load_workload",
     "MetricsSampler",
     "MetricsSeries",
-    "random_mapping",
-    "balanced_mapping",
-    "clustered_mapping",
 ]

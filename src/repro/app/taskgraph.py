@@ -1,25 +1,11 @@
-"""Task graphs.
+"""Task graphs: the id / name / weight view of an application.
 
-A :class:`TaskGraph` is a directed graph of :class:`Task` nodes with
-per-task timing attributes.  :func:`fork_join_graph` builds the paper's
-Figure 3 graph: a source task forking into ``fork_width`` parallel branches
-of a middle task that join at a sink task, with the sink's join result fed
-back to the source (closing the loop keeps every task id visible in NoC
-traffic, which is what lets the intelligence models sense demand for all
-three tasks).
-
-Default timing calibration (at the nominal 100 MHz node frequency):
-
-* task 1 generates one packet every 4 ms (the paper's stated rate) and
-  sinks join results cheaply;
-* task 2's service time is chosen so that the 1:3:1 provider ratio is the
-  balance point: one source's 0.25 packets/ms require
-  ``0.25 × service₂ ≈ 3`` task-2 providers;
-* task 3 similarly needs ≈ 1 provider per source.
-
-With the 128-node Centurion census (≈ 25.6 : 76.8 : 25.6) this puts the
-task-2 stage right at the edge of saturation, which is the regime in which
-the paper's adaptive models have something to optimise.
+A :class:`TaskGraph` is what the intelligence models, the mapping
+policies, the metrics sampler and the heat maps read of the running
+application — its task ids, their names and their ratio weights.
+:func:`~repro.app.workloads.compiler.compile_workload` projects every
+:class:`~repro.app.workloads.WorkloadSpec` onto one; the spec keeps
+everything else (service times, edges, joins, arrival shapes).
 """
 
 
@@ -32,66 +18,29 @@ class Task:
         Integer id carried in packet headers.
     name:
         Human-readable label.
-    service_us:
-        Nominal per-packet execution time at 100 MHz.
-    generation_period_us:
-        If set, nodes assigned this task spontaneously generate one packet
-        per period (source task).
-    downstream:
-        Task id the task's per-packet output is sent to, or ``None``.
-    emits_on_join:
-        When True the task is a join point: its downstream packet is
-        emitted once per *joined instance*, not once per execution.
-    deadline_us:
-        Relative deadline stamped on packets this task emits (used by the
-        Foraging-for-Work "time since sent" monitor).
     weight:
         Relative share of nodes in ratio-based mappings (the 1:3:1).
     """
 
-    def __init__(self, task_id, name, service_us, generation_period_us=None,
-                 downstream=None, emits_on_join=False, deadline_us=16_000,
-                 weight=1):
-        if service_us < 1:
-            raise ValueError("service_us must be >= 1")
-        if generation_period_us is not None and generation_period_us < 1:
-            raise ValueError("generation period must be >= 1")
+    def __init__(self, task_id, name, weight=1):
         if weight < 0:
             raise ValueError("weight must be >= 0")
         self.task_id = task_id
         self.name = name
-        self.service_us = service_us
-        self.generation_period_us = generation_period_us
-        self.downstream = downstream
-        self.emits_on_join = emits_on_join
-        self.deadline_us = deadline_us
         self.weight = weight
 
-    @property
-    def is_source(self):
-        return self.generation_period_us is not None
-
     def __repr__(self):
-        return "Task(id={}, {!r}, service={}us{})".format(
-            self.task_id,
-            self.name,
-            self.service_us,
-            ", source" if self.is_source else "",
+        return "Task(id={}, {!r}, weight={})".format(
+            self.task_id, self.name, self.weight
         )
 
 
 class TaskGraph:
-    """A set of tasks with downstream wiring.
+    """A set of tasks keyed by id (duplicate ids are rejected)."""
 
-    The graph validates its wiring on construction: every downstream
-    reference must name a task in the graph.
-    """
-
-    def __init__(self, tasks, fork_width=1):
+    def __init__(self, tasks):
         if not tasks:
             raise ValueError("task graph needs at least one task")
-        if fork_width < 1:
-            raise ValueError("fork_width must be >= 1")
         self.tasks = {}
         for task in tasks:
             if task.task_id in self.tasks:
@@ -99,14 +48,6 @@ class TaskGraph:
                     "duplicate task id {}".format(task.task_id)
                 )
             self.tasks[task.task_id] = task
-        for task in tasks:
-            if task.downstream is not None and task.downstream not in self.tasks:
-                raise ValueError(
-                    "task {} points at unknown downstream {}".format(
-                        task.task_id, task.downstream
-                    )
-                )
-        self.fork_width = fork_width
 
     def task(self, task_id):
         """The :class:`Task` with the given id (KeyError if absent)."""
@@ -116,67 +57,9 @@ class TaskGraph:
         """Sorted list of task ids."""
         return sorted(self.tasks)
 
-    def sources(self):
-        """Tasks that spontaneously generate packets."""
-        return [t for t in self.tasks.values() if t.is_source]
-
     def weights(self):
         """Mapping task id -> ratio weight (the 1:3:1)."""
         return {tid: t.weight for tid, t in self.tasks.items()}
 
-    def total_weight(self):
-        """Sum of all ratio weights (5 for the 1:3:1 graph)."""
-        return sum(t.weight for t in self.tasks.values())
-
     def __repr__(self):
-        return "TaskGraph({} tasks, fork_width={})".format(
-            len(self.tasks), self.fork_width
-        )
-
-
-#: Canonical task ids of the Figure 3 graph.
-TASK_SOURCE = 1
-TASK_BRANCH = 2
-TASK_SINK = 3
-
-
-def fork_join_graph(fork_width=3, generation_period_us=4_000,
-                    source_service_us=500, branch_service_us=12_500,
-                    sink_service_us=3_000, deadline_us=16_000):
-    """Build the Figure 3 fork-join graph with the paper's 1:3:1 ratio.
-
-    Task 1 (weight 1) sources packets every 4 ms and sinks the fed-back
-    join results; task 2 (weight ``fork_width``) processes fork branches;
-    task 3 (weight 1) joins the branches and feeds the result back.
-    """
-    return TaskGraph(
-        [
-            Task(
-                TASK_SOURCE,
-                "task1-source",
-                service_us=source_service_us,
-                generation_period_us=generation_period_us,
-                downstream=TASK_BRANCH,
-                deadline_us=deadline_us,
-                weight=1,
-            ),
-            Task(
-                TASK_BRANCH,
-                "task2-branch",
-                service_us=branch_service_us,
-                downstream=TASK_SINK,
-                deadline_us=deadline_us,
-                weight=fork_width,
-            ),
-            Task(
-                TASK_SINK,
-                "task3-join",
-                service_us=sink_service_us,
-                downstream=TASK_SOURCE,
-                emits_on_join=True,
-                deadline_us=deadline_us,
-                weight=1,
-            ),
-        ],
-        fork_width=fork_width,
-    )
+        return "TaskGraph({} tasks)".format(len(self.tasks))

@@ -5,8 +5,9 @@ became one with :class:`~repro.platform.scenario.FaultScenario`:
 
 * :mod:`~repro.app.workloads.spec` — the JSON-loadable, content-hashed
   :class:`WorkloadSpec` (tasks, edges with fanout, joins, per-task
-  service distributions) plus built-in specs (``fork_join``,
-  ``pipeline3``, ``shuffle2x2``) and worked JSON examples;
+  service distributions) plus built-in specs (``fork_join`` — the
+  paper's Figure 3 graph, which config-only cells run — ``pipeline3``,
+  ``shuffle2x2``) and worked JSON examples;
 * :mod:`~repro.app.workloads.arrivals` — time-varying arrival shapes
   (constant / burst trains / diurnal curves) drawn from the dedicated
   ``workload-arrival`` RNG stream;
@@ -14,12 +15,9 @@ became one with :class:`~repro.platform.scenario.FaultScenario`:
   program (join widths, branch numbering, cycle validation,
   steady-state rates for the capacity lint);
 * :mod:`~repro.app.workloads.interpreter` — :class:`GraphWorkload`,
-  the generalised runtime, bit-identical to the legacy
-  :class:`~repro.app.workload.ForkJoinWorkload` on the built-in
-  ``fork_join`` spec;
-* :mod:`~repro.app.workloads.protocol` — the :class:`Workload` base
-  both runtimes share;
-* :mod:`~repro.app.workloads.policies` — the mapping-strategy registry
+  the platform's one application runtime (its docstring holds the
+  PE-facing contract);
+* :mod:`~repro.app.workloads.policies` — the mapping policies
   (``random`` / ``balanced`` / ``clustered`` / ``load_aware``) and the
   ``fault-aware`` recovery-remap hook on the dynamics seam.
 
@@ -50,7 +48,6 @@ from repro.app.workloads.policies import (
     mapping_policy,
     remap_for_recovery,
 )
-from repro.app.workloads.protocol import Workload
 from repro.app.workloads.spec import (
     BUILTIN_WORKLOADS,
     EdgeSpec,
@@ -74,7 +71,6 @@ __all__ = [
     "MAPPING_POLICIES",
     "RECOVERY_REMAPS",
     "TaskSpec",
-    "Workload",
     "WorkloadGraphError",
     "WorkloadSpec",
     "apply_mapping",

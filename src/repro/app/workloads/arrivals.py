@@ -5,14 +5,14 @@ its generation ticks actually emit packets. The PE's periodic process
 keeps firing at the base ``period_us`` regardless of shape; the shape
 decides, per tick, whether the tick emits (`emits`). Returning no
 packets on a gated tick leaves the PE's generation sequence untouched,
-so instance numbering stays dense and the constant shape is
-bit-identical to the legacy fixed-rate path.
+so instance numbering stays dense and the constant shape is the
+paper's fixed-rate source.
 
 Three shapes:
 
 ``constant``
-    Every tick emits. Zero RNG draws — byte-identical to the legacy
-    ``ForkJoinWorkload`` schedule.
+    Every tick emits. Zero RNG draws — the paper's fixed-rate schedule
+    (every config-only cell runs it).
 ``burst``
     Deterministic on/off trains: ``burst_ticks`` emitting ticks followed
     by ``idle_ticks`` silent ones, phase-locked to each source node's

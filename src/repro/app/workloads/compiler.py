@@ -16,8 +16,8 @@ once, into a :class:`CompiledWorkload`:
   negotiation;
 * **identity edges** — an edge with ``fanout == 1`` whose destination
   has exactly one incoming edge preserves the packet's branch verbatim
-  (including ``None``), which is what makes the built-in ``fork_join``
-  spec bit-identical to the legacy hand-written application;
+  (including ``None``) — the built-in ``fork_join`` spec's branch and
+  join-result edges are identity edges;
 * **validation** — every cycle must pass through a source or a join
   (sources absorb incoming packets, joins deduplicate re-visits; a pure
   pass-through cycle would multiply packets forever), and every join
@@ -261,10 +261,7 @@ def compile_workload(ref):
     # Executions = arrivals for every task; sources also execute the
     # packets fed back to them.
 
-    graph = TaskGraph(
-        tasks=[_as_task(t) for t in spec.tasks],
-        fork_width=max(list(in_width.values()) + [1]),
-    )
+    graph = TaskGraph([_as_task(t) for t in spec.tasks])
     return CompiledWorkload(
         spec=spec, graph=graph, specs=specs, in_width=in_width,
         out_edges=out_edges, source_slots=source_slots, origins=origins,
@@ -273,19 +270,11 @@ def compile_workload(ref):
 
 
 def _as_task(spec):
-    """Project a TaskSpec onto the legacy Task record (the mapping /
-    intelligence / metrics view — ids, names, weights)."""
-    downstream = spec.downstream[0].task if spec.downstream else None
+    """Project a TaskSpec onto the :class:`Task` view the mapping,
+    intelligence and metrics layers read (id, name, weight)."""
     return Task(
         task_id=spec.task_id,
         name=spec.name or f"task{spec.task_id}",
-        service_us=spec.service_us,
-        generation_period_us=(
-            spec.arrival.period_us if spec.arrival is not None else None
-        ),
-        downstream=downstream,
-        emits_on_join=spec.join and bool(spec.downstream),
-        deadline_us=spec.deadline_us,
         weight=spec.weight,
     )
 

@@ -1,9 +1,9 @@
-"""The generalised workload interpreter.
+"""The workload interpreter — the platform's one application runtime.
 
 :class:`GraphWorkload` executes any compiled :class:`WorkloadSpec` —
-pipelines, trees, shuffles, DAGs with fan-in > 2 — behind the exact
-PE-facing surface of the legacy :class:`~repro.app.workload.
-ForkJoinWorkload`. Everything graph-shaped was resolved by the compiler
+the paper's Figure 3 fork-join graph (the builtin ``fork_join`` spec,
+which config-only cells run), pipelines, trees, shuffles, DAGs with
+fan-in > 2. Everything graph-shaped was resolved by the compiler
 (branch bases, join widths, identity edges); the runtime is a small
 fixed machine:
 
@@ -11,19 +11,19 @@ fixed machine:
   arrival period; the arrival shape gates which ticks emit (returning
   no packets leaves the PE's sequence untouched, keeping instance
   numbering dense). Sequential sources cycle one emission slot per
-  tick; multicast sources emit every slot of an instance per stretched
-  tick.
+  tick, so three ticks of a width-3 fork build one instance; multicast
+  sources (paper §V) emit every slot of an instance per stretched tick.
 * **forwarding** — a pass-through execution re-emits along each
   outgoing edge, expanding its branch number through the edge's
   ``(base, fanout)`` block; identity edges preserve the branch verbatim.
-* **joins** — branch bookkeeping identical to the legacy class
-  (straggler and duplicate guards, completed-instance memory, pruning).
+* **joins** — per-instance branch bookkeeping with straggler and
+  duplicate guards, completed-instance memory and pruning.
 
-Determinism: the built-in ``fork_join`` spec makes *zero* draws from
-the two workload RNG streams (constant arrivals, fixed service times),
-so every other stream — and therefore the whole simulation — is
-byte-identical to the legacy path; pinned by
-``tests/integration/test_workload_determinism.py``.
+Determinism: constant arrivals and fixed service times (the builtin
+``fork_join`` spec) make *zero* draws from the two workload RNG
+streams, so every other stream keeps the draw order it had before
+declarative workloads existed; pinned by
+``tests/integration/test_workload_determinism.py`` and the goldens.
 """
 
 from repro.noc.packet import Packet
@@ -31,11 +31,31 @@ from repro.app.workloads.arrivals import (
     ARRIVAL_CONSTANT, ARRIVAL_STREAM, SERVICE_STREAM,
 )
 from repro.app.workloads.compiler import CompiledWorkload, compile_workload
-from repro.app.workloads.protocol import Workload
 
 
-class GraphWorkload(Workload):
+class GraphWorkload:
     """Interpret a compiled workload spec as a platform application.
+
+    The PE-facing contract (any object with this surface can drive a
+    :class:`~repro.node.processor.ProcessingElement`; the test stubs
+    implement only the hooks they need):
+
+    * ``generation_period(task_id)`` — base period (µs) of a source,
+      else ``None``; the PE wires a periodic process at it;
+    * ``service_time(task_id)`` — per-execution service time (µs);
+    * ``packets_for_generation(pe)`` — packets one generation tick
+      emits; ``[]`` skips the tick (the PE then neither counts a
+      generation nor advances its sequence);
+    * ``packets_after_execution(pe, packet)`` — packets a finished
+      execution emits;
+    * ``multicast`` — when true, a multi-packet generation fans out
+      through :meth:`~repro.noc.network.Network.send_multicast`.
+
+    The metrics sampler additionally reads ``graph`` (the
+    :class:`~repro.app.taskgraph.TaskGraph` view: ids and weights),
+    ``joins`` (the paper's throughput metric), ``per_task_series``,
+    ``executions_by_task``, :meth:`sink_task_executions` and
+    :meth:`prune_stale_joins`; the runner reads :meth:`stats`.
 
     Parameters
     ----------
@@ -68,7 +88,7 @@ class GraphWorkload(Workload):
         self._ticks = {}
         self._arrival_rng = None
         self._service_rng = None
-        # Statistics — same shape as the legacy application.
+        # Statistics (the runner's ``app_stats``).
         self.generated = 0
         self.executions_by_task = {tid: 0 for tid in self.graph.task_ids()}
         self.joins = 0
@@ -92,9 +112,7 @@ class GraphWorkload(Workload):
         """Per-execution service time; draws from the dedicated
         ``workload-service`` stream only when the task declares a
         distribution."""
-        spec = self.compiled.specs.get(task_id)
-        if spec is None:
-            return self.graph.task(task_id).service_us
+        spec = self.compiled.specs[task_id]
         base = spec.service_us
         if spec.service_dist == "uniform":
             rng = self._service_stream()
@@ -251,9 +269,14 @@ class GraphWorkload(Workload):
         return len(self._pending_joins)
 
     def prune_stale_joins(self, older_than_instances=50_000):
-        """Bound join-state growth (identical policy to the legacy app:
-        instances keyed ``(source node, sequence)``, entries lagging the
-        newest sequence by more than the window are dropped)."""
+        """Bound join-state growth in very long simulations.
+
+        Instances are keyed ``(source node, sequence)``; pending entries
+        whose sequence lags the newest by more than the window can never
+        complete in practice (their branches were dropped) and are
+        removed, along with the completed-instance memory of the same
+        vintage. Returns the number of pending entries pruned.
+        """
         if not self._pending_joins and not self._completed_joins:
             return 0
         keys = list(self._pending_joins) + list(self._completed_joins)
@@ -278,12 +301,8 @@ class GraphWorkload(Workload):
             for tid in self.compiled.sink_ids
         )
 
-    def source_generations(self):
-        """Packets generated by source tasks so far."""
-        return self.generated
-
     def stats(self):
-        """Snapshot of all application counters (legacy-shaped)."""
+        """Snapshot of all application counters."""
         return {
             "generated": self.generated,
             "executions_by_task": dict(self.executions_by_task),

@@ -1,23 +1,33 @@
-"""Mapping-strategy registry and recovery-remap policies.
+"""Mapping policies and recovery-remap policies.
 
-The three legacy mapping functions in :mod:`repro.app.mapping` have two
-different signatures (``clustered_mapping`` wants the topology, the
-other two want node ids). The registry normalises them behind one
-policy shape::
+Every initial-mapping strategy has one signature::
 
     policy(topology, weights, rng, workload=None) -> {node_id: task_id}
 
 so strategies are drop-in interchangeable, selected by
-``PlatformConfig.initial_mapping``. Two policies go beyond the static
-legacy trio:
+``PlatformConfig.initial_mapping``. ``weights`` maps task id -> ratio
+weight (the 1:3:1 of the Figure 3 graph).
 
+``random``
+    The paper's initial condition: experiments start "from a random
+    task-mapping", every node drawing a task with probability
+    proportional to its weight, so the realised census fluctuates run
+    to run (part of what the intelligence models then optimise away).
+``balanced``
+    An exactly weight-proportional census, randomly placed — removes the
+    census noise while keeping placement random, isolating census repair
+    from spatial reorganisation in the mapping ablation.
+``clustered``
+    A deterministic designer floorplan: contiguous column bands
+    proportional to the weights, sources on the West edge, sinks on the
+    East. Draws nothing from ``rng``.
 ``load_aware``
-    Balances the *steady-state compute demand* of the compiled workload
+    Balances the *steady-state compute demand* of a declared workload
     (packet rate x service time per task, from
     :meth:`~repro.app.workloads.compiler.CompiledWorkload.demand_weights`)
     instead of the static ratio weights — a burst-heavy branch task gets
-    the nodes its traffic actually needs. Falls back to the static
-    weights for the legacy application, which carries no rate model.
+    the nodes its traffic actually needs. Without a workload (config-only
+    cells) it balances the static weights, exactly like ``balanced``.
 
 ``fault-aware`` recovery remap (``PlatformConfig.recovery_remap``)
     Hooked on the dynamics seam: when a node recovers (scripted or
@@ -27,23 +37,59 @@ legacy trio:
     instead of leaving repair entirely to the intelligence models.
 """
 
-from repro.app.mapping import (
-    balanced_mapping,
-    clustered_mapping,
-    random_mapping,
-)
+
+def _unpack_weights(weights):
+    if not weights:
+        raise ValueError("weights must not be empty")
+    tasks = sorted(weights)
+    task_weights = [weights[t] for t in tasks]
+    if any(w < 0 for w in task_weights) or sum(task_weights) <= 0:
+        raise ValueError("weights must be non-negative with positive sum")
+    return tasks, task_weights
 
 
 def _random(topology, weights, rng, workload=None):
-    return random_mapping(topology.node_ids(), weights, rng)
+    tasks, task_weights = _unpack_weights(weights)
+    return {
+        node: rng.choices(tasks, weights=task_weights, k=1)[0]
+        for node in topology.node_ids()
+    }
 
 
 def _balanced(topology, weights, rng, workload=None):
-    return balanced_mapping(topology.node_ids(), weights, rng)
+    nodes = list(topology.node_ids())
+    tasks, task_weights = _unpack_weights(weights)
+    total_weight = sum(task_weights)
+    assignment = []
+    remainders = []
+    for task, weight in zip(tasks, task_weights):
+        exact = len(nodes) * weight / total_weight
+        count = int(exact)
+        assignment.extend([task] * count)
+        remainders.append((exact - count, task))
+    remainders.sort(reverse=True)
+    for _frac, task in remainders[: len(nodes) - len(assignment)]:
+        assignment.append(task)
+    rng.shuffle(assignment)
+    return dict(zip(nodes, assignment))
 
 
 def _clustered(topology, weights, rng, workload=None):
-    return clustered_mapping(topology, weights, rng)
+    tasks, task_weights = _unpack_weights(weights)
+    total_weight = sum(task_weights)
+    boundaries = []
+    acc = 0.0
+    for weight in task_weights:
+        acc += topology.width * weight / total_weight
+        boundaries.append(acc)
+    mapping = {}
+    for node in topology.node_ids():
+        x, _y = topology.coords(node)
+        for task, boundary in zip(tasks, boundaries):
+            if x < boundary or boundary == boundaries[-1]:
+                mapping[node] = task
+                break
+    return mapping
 
 
 def _load_aware(topology, weights, rng, workload=None):
@@ -54,7 +100,7 @@ def _load_aware(topology, weights, rng, workload=None):
             demand = getter()
     if not demand or not any(demand.values()):
         demand = weights
-    return balanced_mapping(topology.node_ids(), demand, rng)
+    return _balanced(topology, demand, rng)
 
 
 MAPPING_POLICIES = {
@@ -81,8 +127,16 @@ def mapping_policy(name):
 
 
 def apply_mapping(name, topology, weights, rng, workload=None):
-    """Run the named policy with the normalised signature."""
+    """Run the named policy."""
     return mapping_policy(name)(topology, weights, rng, workload=workload)
+
+
+def census(mapping):
+    """Task census of a mapping: task id -> node count."""
+    counts = {}
+    for task in mapping.values():
+        counts[task] = counts.get(task, 0) + 1
+    return counts
 
 
 def remap_for_recovery(platform, node_id):

@@ -443,12 +443,32 @@ def fork_join_spec(fork_width=3, generation_period_us=4_000,
                    source_service_us=500, branch_service_us=12_500,
                    sink_service_us=3_000, deadline_us=16_000,
                    packet_flits=4, multicast=False):
-    """The paper's Figure 3 fork-join graph as a WorkloadSpec.
+    """The paper's Figure 3 fork-join graph with its 1:3:1 ratio.
 
-    Defaults mirror :func:`repro.app.taskgraph.fork_join_graph` exactly;
-    the interpreter running this spec is pinned bit-identical to the
-    legacy :class:`~repro.app.workload.ForkJoinWorkload` by
-    ``tests/integration/test_workload_determinism.py``.
+    Task 1 (weight 1) sources packets every 4 ms and sinks the fed-back
+    join results; its packets fork into ``fork_width`` branches of task 2
+    (weight ``fork_width``), which join at task 3 (weight 1), whose
+    result feeds back to the source — closing the loop keeps every task
+    id visible in NoC traffic, which is what lets the intelligence
+    models sense demand for all three tasks.
+
+    Default timing calibration (at the nominal 100 MHz node frequency):
+
+    * task 1 generates one packet every 4 ms (the paper's stated rate)
+      and sinks join results cheaply;
+    * task 2's service time is chosen so that the 1:3:1 provider ratio
+      is the balance point: one source's 0.25 packets/ms require
+      ``0.25 × service₂ ≈ 3`` task-2 providers;
+    * task 3 similarly needs ≈ 1 provider per source.
+
+    With the 128-node Centurion census (≈ 25.6 : 76.8 : 25.6) this puts
+    the task-2 stage right at the edge of saturation, which is the
+    regime in which the paper's adaptive models have something to
+    optimise.
+
+    The defaults equal :class:`~repro.platform.config.PlatformConfig`'s
+    task-graph fields; a config-only cell runs this spec built from those
+    fields (pinned by ``tests/integration/test_workload_determinism.py``).
     """
     return WorkloadSpec(
         name="fork_join",

@@ -135,12 +135,12 @@ Workload cells (the ``workloads:`` axis) extend the payload with a
 declarative spec driving the cell — schema version, name, every task's
 explicit v1 fields (service, weight, deadline, edges with fanout, join
 flag, arrival shape) — so any change to the task graph or its arrival
-curves mints a new key.  Cells running the legacy fork-join application
-omit the entry entirely, conserving every pre-workload key byte for
-byte; within the entry the canonical-optional rule recurses once more
-(``per_task_series`` on the spec, ``service_dist``/``service_spread``
-per task join only when set), so specs written before those fields
-existed keep their keys too.
+curves mints a new key.  Config-only cells (the fork-join application
+built from the config's task-graph fields) omit the entry entirely,
+conserving every pre-workload key byte for byte; within the entry the
+canonical-optional rule recurses once more (``per_task_series`` on the
+spec, ``service_dist``/``service_spread`` per task join only when set),
+so specs written before those fields existed keep their keys too.
 """
 
 from repro.campaign.client import CampaignClient, CampaignStatus, ServeError

@@ -141,8 +141,8 @@ class CampaignSpec:
     #: axis under that application (a WorkloadSpec, dict, built-in name
     #: or JSON path — anything
     #: :func:`~repro.app.workloads.load_workload` accepts).  Empty =
-    #: sweep the legacy fork-join application (byte-identical
-    #: expansion).
+    #: sweep config-only cells, the fork-join graph built from the
+    #: config (byte-identical expansion).
     workloads: tuple = ()
     #: Rendering hint: how :mod:`repro.campaign.paper` turns the finished
     #: grid back into an artefact ("grid" returns plain rows).
@@ -230,9 +230,9 @@ class CampaignSpec:
         The order is stable and documented because it decides *resume*
         order (which cells a partial store already holds); results are
         per-cell deterministic regardless of execution order.  An empty
-        governor (or workload) axis sweeps the spec's own config (or the
-        legacy application) untouched, so legacy grids expand
-        byte-identically.
+        governor (or workload) axis sweeps the spec's own config (or its
+        config-only fork-join application) untouched, so legacy grids
+        expand byte-identically.
         """
         if self.governors:
             configs = [

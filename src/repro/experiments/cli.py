@@ -136,7 +136,7 @@ def build_parser():
     run_p.add_argument(
         "--workload", metavar="FILE",
         help="JSON WorkloadSpec (or builtin name: fork_join, pipeline3, "
-             "shuffle2x2) replacing the legacy fork-join application",
+             "shuffle2x2) instead of the config's fork-join graph",
     )
     run_p.add_argument("--small", action="store_true",
                        help="4x4 grid instead of full Centurion")

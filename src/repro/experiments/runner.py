@@ -44,8 +44,9 @@ class RunResult:
     autonomous_recoveries: int = 0
     deadlock_drops: int = 0
     governor: str = None
-    #: Name of the declarative workload driving the run (None = the
-    #: legacy fork-join application built from the config).
+    #: Name of the declared workload driving the run (None = a
+    #: config-only cell: the builtin fork_join spec built from the
+    #: config's task-graph fields).
     workload: str = None
 
     def as_row(self):
@@ -101,9 +102,10 @@ def run_single(model_name, seed, faults=0, config=None,
     recovery fields mirror the settled state, like a zero-fault run.
 
     ``workload`` (a :class:`~repro.app.workloads.WorkloadSpec`, dict,
-    built-in name, or JSON file path) replaces the legacy fork-join
-    application with a declarative task graph; leaving it ``None``
-    keeps the pre-workload platform byte-identical.
+    built-in name, or JSON file path) declares the application; leaving
+    it ``None`` runs the config's fork-join graph as a config-only cell,
+    whose row carries no ``workload`` name and stays byte-identical to
+    the pre-workload platform.
     """
     config = config if config is not None else PlatformConfig()
     platform = CenturionPlatform(

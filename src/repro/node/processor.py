@@ -5,8 +5,9 @@ queued on the internal port (finite buffer — overflow diverts the packet to
 the next-nearest provider, modelling wormhole backpressure), executed one at
 a time with a task- and frequency-dependent service time, and the
 application layer decides which downstream packets each completed execution
-emits (the fork-join wiring lives in :mod:`repro.app.workload`, keeping this
-class application-agnostic).
+emits (the task-graph wiring lives in
+:class:`~repro.app.workloads.GraphWorkload`, keeping this class
+application-agnostic).
 
 The PE raises the node-local monitor events of Figure 2a toward its
 observers (the AIM): internal packet sink, execution completion and task
@@ -35,8 +36,8 @@ class ProcessingElement:
         the provider directory).
     app:
         Application hooks object with ``packets_for_generation(pe)`` and
-        ``packets_after_execution(pe, packet)`` — see
-        :class:`repro.app.workload.ForkJoinWorkload`.
+        ``packets_after_execution(pe, packet)`` — see the contract in
+        :class:`repro.app.workloads.GraphWorkload`.
     queue_capacity:
         Internal-port buffer size in packets; arrivals beyond it are
         diverted back into the network toward another provider.

@@ -2,9 +2,9 @@
 
 Builds the full system of Figure 2a for every node — router, processing
 element, Artificial Intelligence Module — on top of one simulator, wires
-the fork-join workload and the metrics sampler, applies the initial
-mapping, and exposes ``run()``.  This is the main entry point of the
-library:
+the application (a :class:`~repro.app.workloads.GraphWorkload`) and the
+metrics sampler, applies the initial mapping, and exposes ``run()``.
+This is the main entry point of the library:
 
 >>> from repro.platform import CenturionPlatform, PlatformConfig
 >>> platform = CenturionPlatform(
@@ -13,12 +13,11 @@ library:
 """
 
 from repro.app.metrics import MetricsSampler
-from repro.app.taskgraph import fork_join_graph
-from repro.app.workload import ForkJoinWorkload
 from repro.app.workloads import (
     GraphWorkload,
     apply_mapping,
     compile_workload,
+    fork_join_spec,
 )
 from repro.core.aim import AimTickBank, ArtificialIntelligenceModule
 from repro.core.models.registry import create_model, resolve_model_name
@@ -84,10 +83,12 @@ class CenturionPlatform:
         Optional declarative workload — a
         :class:`~repro.app.workloads.WorkloadSpec` (or anything its
         :func:`~repro.app.workloads.load_workload` accepts: dict,
-        built-in name, JSON file path). When absent the platform builds
-        the legacy Figure 3 fork-join application from the config's
-        task-graph fields, byte-identical to every pre-workload run.
-        The spec's ``packet_flits``/``multicast`` override the config's.
+        built-in name, JSON file path). When absent the platform runs
+        the builtin ``fork_join`` spec (the paper's Figure 3 graph)
+        built from the config's task-graph fields; such config-only
+        cells leave ``workload_spec`` as ``None``, so their rows carry
+        no ``workload`` name. A declared spec's ``packet_flits``/
+        ``multicast`` override the config's.
     """
 
     def __init__(self, config=None, model_name="none", seed=0,
@@ -115,26 +116,23 @@ class CenturionPlatform:
             trace=self.trace,
         )
         if workload is None:
+            config = self.config
+            compiled = compile_workload(fork_join_spec(
+                fork_width=config.fork_width,
+                generation_period_us=config.generation_period_us,
+                source_service_us=config.source_service_us,
+                branch_service_us=config.branch_service_us,
+                sink_service_us=config.sink_service_us,
+                deadline_us=config.packet_deadline_us,
+                packet_flits=config.packet_flits,
+                multicast=config.multicast_fork,
+            ))
             self.workload_spec = None
-            self.graph = fork_join_graph(
-                fork_width=self.config.fork_width,
-                generation_period_us=self.config.generation_period_us,
-                source_service_us=self.config.source_service_us,
-                branch_service_us=self.config.branch_service_us,
-                sink_service_us=self.config.sink_service_us,
-                deadline_us=self.config.packet_deadline_us,
-            )
-            self.workload = ForkJoinWorkload(
-                self.sim,
-                self.graph,
-                packet_flits=self.config.packet_flits,
-                multicast=self.config.multicast_fork,
-            )
         else:
             compiled = compile_workload(workload)
             self.workload_spec = compiled.spec
-            self.graph = compiled.graph
-            self.workload = GraphWorkload(self.sim, compiled)
+        self.graph = compiled.graph
+        self.workload = GraphWorkload(self.sim, compiled)
         self.pes = {}
         self.aims = {}
         # All AIMs tick in lockstep, so they share one periodic event
@@ -203,16 +201,17 @@ class CenturionPlatform:
         rng = self.sim.rng.stream("initial-mapping")
         weights = self.graph.weights()
         topology = self.network.topology
+        # Only a declared workload's demand weights steer ``load_aware``;
+        # config-only cells balance the static 1:3:1 weights.
         mapping = apply_mapping(
             self.config.initial_mapping, topology, weights, rng,
-            workload=self.workload,
+            workload=(
+                self.workload if self.workload_spec is not None else None
+            ),
         )
         for node_id, task_id in mapping.items():
             self.pes[node_id].set_task(task_id, reason="init")
         self.initial_mapping = mapping
-
-    def _deliver(self, packet, node_id):
-        self.pes[node_id].receive(packet)
 
     # -- running -------------------------------------------------------------------
 

@@ -4,12 +4,6 @@ import random
 
 import pytest
 
-from repro.app.mapping import (
-    balanced_mapping,
-    census,
-    clustered_mapping,
-    random_mapping,
-)
 from repro.app.workloads import (
     MAPPING_POLICIES,
     apply_mapping,
@@ -17,6 +11,7 @@ from repro.app.workloads import (
     mapping_policy,
     remap_for_recovery,
 )
+from repro.app.workloads.policies import census
 from repro.noc.topology import MeshTopology
 from repro.platform.centurion import CenturionPlatform
 from repro.platform.config import PlatformConfig
@@ -39,23 +34,32 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown mapping policy"):
             mapping_policy("spiral")
 
+    # Row-major task lists the pre-registry mapping functions produced
+    # on the 4x4 mesh with ``random.Random(42)``: the policies must draw
+    # and place exactly as they did.
     @pytest.mark.parametrize("name,legacy", [
-        ("random", random_mapping),
-        ("balanced", balanced_mapping),
+        pytest.param(
+            "random", [2, 1, 2, 2, 2, 2, 3, 1, 2, 1, 2, 2, 1, 1, 2, 2],
+            id="random-random_mapping",
+        ),
+        pytest.param(
+            "balanced", [2, 2, 2, 2, 3, 2, 3, 2, 1, 1, 3, 2, 2, 2, 1, 2],
+            id="balanced-balanced_mapping",
+        ),
     ])
     def test_node_id_policies_match_legacy_functions(
         self, topology, name, legacy
     ):
-        via_registry = apply_mapping(
-            name, topology, WEIGHTS, random.Random(42)
-        )
-        direct = legacy(topology.node_ids(), WEIGHTS, random.Random(42))
-        assert via_registry == direct
+        mapping = apply_mapping(name, topology, WEIGHTS, random.Random(42))
+        assert [mapping[n] for n in topology.node_ids()] == legacy
 
     def test_clustered_matches_legacy_function(self, topology):
-        assert apply_mapping(
+        mapping = apply_mapping(
             "clustered", topology, WEIGHTS, random.Random(42)
-        ) == clustered_mapping(topology, WEIGHTS)
+        )
+        assert [mapping[n] for n in topology.node_ids()] == [
+            1, 2, 2, 2, 1, 2, 2, 2, 1, 2, 2, 2, 1, 2, 2, 2,
+        ]
 
 
 class TestLoadAware:
@@ -83,7 +87,7 @@ class TestLoadAware:
     def test_falls_back_to_static_weights_without_workload(self, topology):
         assert apply_mapping(
             "load_aware", topology, WEIGHTS, random.Random(42)
-        ) == balanced_mapping(topology.node_ids(), WEIGHTS, random.Random(42))
+        ) == apply_mapping("balanced", topology, WEIGHTS, random.Random(42))
 
 
 class TestRecoveryRemap:

@@ -1,10 +1,11 @@
-"""Property tests for the mapping generators."""
+"""Property tests for the mapping policies."""
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.app.mapping import census, clustered_mapping, random_mapping
+from repro.app.workloads import mapping_policy
+from repro.app.workloads.policies import census
 from repro.noc.topology import MeshTopology
 
 weight_sets = st.dictionaries(
@@ -23,7 +24,7 @@ weight_sets = st.dictionaries(
 )
 def test_clustered_mapping_total_and_membership(width, height, weights):
     topology = MeshTopology(width, height)
-    mapping = clustered_mapping(topology, weights)
+    mapping = mapping_policy("clustered")(topology, weights, None)
     assert len(mapping) == topology.num_nodes
     assert set(mapping.values()) <= set(weights)
     # Bands are contiguous in x: once the task changes along a row it never
@@ -42,7 +43,9 @@ def test_clustered_mapping_total_and_membership(width, height, weights):
     seed=st.integers(min_value=0, max_value=9999),
 )
 def test_random_mapping_assigns_all_with_known_tasks(n, weights, seed):
-    mapping = random_mapping(range(n), weights, random.Random(seed))
+    mapping = mapping_policy("random")(
+        MeshTopology(n, 1), weights, random.Random(seed)
+    )
     assert len(mapping) == n
     assert set(mapping.values()) <= set(weights)
     assert sum(census(mapping).values()) == n

@@ -2,82 +2,58 @@
 
 import pytest
 
-from repro.app.taskgraph import (
-    TASK_BRANCH,
-    TASK_SINK,
-    TASK_SOURCE,
-    Task,
-    TaskGraph,
-    fork_join_graph,
-)
+from repro.app.taskgraph import Task, TaskGraph
+from repro.app.workloads import compile_workload, fork_join_spec
 
 
 class TestTask:
-    def test_source_detection(self):
-        source = Task(1, "src", service_us=10, generation_period_us=100)
-        sink = Task(2, "sink", service_us=10)
-        assert source.is_source
-        assert not sink.is_source
-
-    def test_invalid_service_rejected(self):
-        with pytest.raises(ValueError):
-            Task(1, "x", service_us=0)
-
-    def test_invalid_period_rejected(self):
-        with pytest.raises(ValueError):
-            Task(1, "x", service_us=10, generation_period_us=0)
-
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            Task(1, "x", service_us=10, weight=-1)
+            Task(1, "x", weight=-1)
 
 
 class TestTaskGraph:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
-            TaskGraph([Task(1, "a", 10), Task(1, "b", 10)])
-
-    def test_dangling_downstream_rejected(self):
-        with pytest.raises(ValueError):
-            TaskGraph([Task(1, "a", 10, downstream=9)])
+            TaskGraph([Task(1, "a"), Task(1, "b")])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             TaskGraph([])
 
     def test_lookup(self):
-        graph = TaskGraph([Task(1, "a", 10), Task(2, "b", 20)])
+        graph = TaskGraph([Task(1, "a"), Task(2, "b")])
         assert graph.task(2).name == "b"
         assert graph.task_ids() == [1, 2]
 
 
 class TestForkJoinGraph:
+    """The paper's Figure 3 graph, as the builtin ``fork_join`` spec
+    compiles it."""
+
     def test_paper_ratio_1_3_1(self):
-        graph = fork_join_graph()
-        assert graph.weights() == {
-            TASK_SOURCE: 1,
-            TASK_BRANCH: 3,
-            TASK_SINK: 1,
-        }
-        assert graph.total_weight() == 5
+        graph = compile_workload(fork_join_spec()).graph
+        assert graph.weights() == {1: 1, 2: 3, 3: 1}
+        assert [graph.task(t).name for t in graph.task_ids()] == [
+            "task1-source", "task2-branch", "task3-join",
+        ]
 
     def test_paper_generation_period(self):
-        graph = fork_join_graph()
-        assert graph.task(TASK_SOURCE).generation_period_us == 4_000
+        assert fork_join_spec().task(1).arrival.period_us == 4_000
 
     def test_pipeline_wiring(self):
-        graph = fork_join_graph()
-        assert graph.task(TASK_SOURCE).downstream == TASK_BRANCH
-        assert graph.task(TASK_BRANCH).downstream == TASK_SINK
+        compiled = compile_workload(fork_join_spec())
+        assert {
+            task: [edge.dest for edge in edges]
+            for task, edges in compiled.out_edges.items()
+        } == {1: [2], 2: [3], 3: [1]}
         # The join result feeds back to the source task (closed loop).
-        assert graph.task(TASK_SINK).downstream == TASK_SOURCE
-        assert graph.task(TASK_SINK).emits_on_join
+        assert compiled.spec.join_ids() == [3]
 
     def test_fork_width_sets_branch_weight(self):
-        graph = fork_join_graph(fork_width=4)
-        assert graph.fork_width == 4
-        assert graph.task(TASK_BRANCH).weight == 4
+        compiled = compile_workload(fork_join_spec(fork_width=4))
+        assert compiled.graph.weights()[2] == 4
+        assert compiled.in_width[3] == 4
 
     def test_only_source_generates(self):
-        graph = fork_join_graph()
-        assert [t.task_id for t in graph.sources()] == [TASK_SOURCE]
+        assert fork_join_spec().source_ids() == [1]

@@ -1,12 +1,18 @@
-"""Tests for the fork-join workload logic."""
+"""Tests for the fork-join application: the builtin ``fork_join`` spec
+run by :class:`~repro.app.workloads.GraphWorkload`."""
 
 import pytest
 
-from repro.app.taskgraph import TASK_BRANCH, TASK_SINK, TASK_SOURCE, \
-    fork_join_graph
-from repro.app.workload import ForkJoinWorkload
+from repro.app.workloads import (
+    GraphWorkload,
+    compile_workload,
+    fork_join_spec,
+)
 from repro.noc.packet import Packet
 from repro.sim.engine import Simulator
+
+#: Task ids of the Figure 3 graph.
+SOURCE, BRANCH, SINK = 1, 2, 3
 
 
 class FakePE:
@@ -16,66 +22,70 @@ class FakePE:
         self._gen_seq = gen_seq
 
 
+def fork_join(**spec_fields):
+    return GraphWorkload(
+        Simulator(seed=0), compile_workload(fork_join_spec(**spec_fields))
+    )
+
+
 @pytest.fixture
 def workload():
-    sim = Simulator(seed=0)
-    return ForkJoinWorkload(sim, fork_join_graph())
+    return fork_join()
 
 
 class TestServiceAndPeriods:
     def test_service_times_from_graph(self, workload):
-        graph = workload.graph
-        assert workload.service_time(TASK_BRANCH) == graph.task(
-            TASK_BRANCH).service_us
+        assert workload.service_time(BRANCH) == fork_join_spec().task(
+            BRANCH).service_us == 12_500
 
     def test_generation_period_only_for_source(self, workload):
-        assert workload.generation_period(TASK_SOURCE) == 4_000
-        assert workload.generation_period(TASK_BRANCH) is None
+        assert workload.generation_period(SOURCE) == 4_000
+        assert workload.generation_period(BRANCH) is None
         assert workload.generation_period(99) is None
 
 
 class TestGeneration:
     def test_source_emits_branch_packets_cycling(self, workload):
-        pe = FakePE(7, TASK_SOURCE)
+        pe = FakePE(7, SOURCE)
         branches = []
         for seq in range(6):
             pe._gen_seq = seq
             (packet,) = workload.packets_for_generation(pe)
             branches.append((packet.instance, packet.branch))
-            assert packet.dest_task == TASK_BRANCH
+            assert packet.dest_task == BRANCH
         assert branches == [
             ((7, 0), 0), ((7, 0), 1), ((7, 0), 2),
             ((7, 1), 0), ((7, 1), 1), ((7, 1), 2),
         ]
 
     def test_non_source_generates_nothing(self, workload):
-        assert workload.packets_for_generation(FakePE(7, TASK_BRANCH)) == []
+        assert workload.packets_for_generation(FakePE(7, BRANCH)) == []
 
     def test_generation_stamps_deadline(self, workload):
-        (packet,) = workload.packets_for_generation(FakePE(7, TASK_SOURCE))
-        assert packet.deadline == workload.sim.now + workload.graph.task(
-            TASK_SOURCE).deadline_us
+        (packet,) = workload.packets_for_generation(FakePE(7, SOURCE))
+        assert packet.deadline == workload.sim.now + fork_join_spec().task(
+            SOURCE).deadline_us
 
 
 class TestPipeline:
     def test_branch_execution_forwards_to_sink(self, workload):
-        pe = FakePE(3, TASK_BRANCH)
-        incoming = Packet(7, TASK_BRANCH, instance=(7, 0), branch=1)
+        pe = FakePE(3, BRANCH)
+        incoming = Packet(7, BRANCH, instance=(7, 0), branch=1)
         (out,) = workload.packets_after_execution(pe, incoming)
-        assert out.dest_task == TASK_SINK
+        assert out.dest_task == SINK
         assert out.instance == (7, 0)
         assert out.branch == 1
 
     def test_source_sinking_result_emits_nothing(self, workload):
-        pe = FakePE(7, TASK_SOURCE)
-        result = Packet(9, TASK_SOURCE, instance=(7, 0))
+        pe = FakePE(7, SOURCE)
+        result = Packet(9, SOURCE, instance=(7, 0))
         assert workload.packets_after_execution(pe, result) == []
 
 
 class TestJoin:
     def sink(self, workload, instance, branch, node=9):
-        pe = FakePE(node, TASK_SINK)
-        packet = Packet(3, TASK_SINK, instance=instance, branch=branch)
+        pe = FakePE(node, SINK)
+        packet = Packet(3, SINK, instance=instance, branch=branch)
         return workload.packets_after_execution(pe, packet)
 
     def test_join_completes_after_all_branches(self, workload):
@@ -84,7 +94,7 @@ class TestJoin:
         out = self.sink(workload, (7, 0), 2)
         assert workload.joins == 1
         (result,) = out
-        assert result.dest_task == TASK_SOURCE
+        assert result.dest_task == SOURCE
         assert result.instance == (7, 0)
 
     def test_straggler_after_join_does_not_reopen_instance(self, workload):
@@ -133,8 +143,8 @@ class TestJoin:
         assert workload.pending_join_count == 1
 
     def test_packet_without_instance_ignored(self, workload):
-        pe = FakePE(9, TASK_SINK)
-        packet = Packet(3, TASK_SINK, instance=None)
+        pe = FakePE(9, SINK)
+        packet = Packet(3, SINK, instance=None)
         assert workload.packets_after_execution(pe, packet) == []
         assert workload.joins == 0
 
@@ -147,62 +157,61 @@ class TestJoin:
 
 
 class TestMulticast:
-    """Behaviour of the SS V multicast generation mode, and its parity
-    with the declarative ``fork_join`` spec's ``multicast`` field."""
+    """Behaviour of the SS V multicast generation mode (the spec's
+    ``multicast`` field, ``multicast_fork`` on a config-only cell)."""
 
     @pytest.fixture
     def multicast(self):
-        sim = Simulator(seed=0)
-        return ForkJoinWorkload(sim, fork_join_graph(), multicast=True)
+        return fork_join(multicast=True)
 
     def test_generation_period_stretched_by_fork_width(self, multicast):
-        assert multicast.generation_period(TASK_SOURCE) == 3 * 4_000
+        assert multicast.generation_period(SOURCE) == 3 * 4_000
 
     def test_source_emits_whole_instance_per_tick(self, multicast):
-        pe = FakePE(7, TASK_SOURCE)
+        pe = FakePE(7, SOURCE)
         packets = multicast.packets_for_generation(pe)
         assert [(p.instance, p.branch) for p in packets] == [
             ((7, 0), 0), ((7, 0), 1), ((7, 0), 2),
         ]
-        assert all(p.dest_task == TASK_BRANCH for p in packets)
+        assert all(p.dest_task == BRANCH for p in packets)
         pe._gen_seq = 1
         packets = multicast.packets_for_generation(pe)
         assert all(p.instance == (7, 1) for p in packets)
 
     def test_spec_multicast_field_matches_legacy_emission(self, multicast):
-        from repro.app.workloads import GraphWorkload, fork_join_spec
-
-        graph = GraphWorkload(
-            Simulator(seed=0), fork_join_spec(multicast=True)
-        )
-        assert graph.generation_period(TASK_SOURCE) \
-            == multicast.generation_period(TASK_SOURCE)
-        legacy = multicast.packets_for_generation(FakePE(7, TASK_SOURCE))
-        spec = graph.packets_for_generation(FakePE(7, TASK_SOURCE))
+        # What the hand-written fork-join application emitted: every
+        # branch of instance (7, 0), each due 16 ms after creation.
+        assert multicast.generation_period(SOURCE) == 12_000
+        packets = multicast.packets_for_generation(FakePE(7, SOURCE))
         assert [
-            (p.dest_task, p.instance, p.branch, p.deadline) for p in legacy
+            (p.src_node, p.dest_task, p.instance, p.branch, p.deadline,
+             p.size_flits)
+            for p in packets
         ] == [
-            (p.dest_task, p.instance, p.branch, p.deadline) for p in spec
+            (7, BRANCH, (7, 0), 0, 16_000, 4),
+            (7, BRANCH, (7, 0), 1, 16_000, 4),
+            (7, BRANCH, (7, 0), 2, 16_000, 4),
         ]
+        assert multicast.generated == 3
 
     def test_multicast_off_by_default(self, workload):
         assert workload.multicast is False
-        assert len(workload.packets_for_generation(FakePE(7, TASK_SOURCE))) \
+        assert len(workload.packets_for_generation(FakePE(7, SOURCE))) \
             == 1
 
 
 class TestStats:
     def test_stats_snapshot(self, workload):
-        pe = FakePE(7, TASK_SOURCE)
+        pe = FakePE(7, SOURCE)
         workload.packets_for_generation(pe)
         stats = workload.stats()
         assert stats["generated"] == 1
         assert stats["joins"] == 0
-        assert TASK_BRANCH in stats["executions_by_task"]
+        assert BRANCH in stats["executions_by_task"]
 
     def test_executions_counted_per_task(self, workload):
-        pe = FakePE(3, TASK_BRANCH)
+        pe = FakePE(3, BRANCH)
         workload.packets_after_execution(
-            pe, Packet(7, TASK_BRANCH, instance=(7, 0), branch=0)
+            pe, Packet(7, BRANCH, instance=(7, 0), branch=0)
         )
-        assert workload.executions_by_task[TASK_BRANCH] == 1
+        assert workload.executions_by_task[BRANCH] == 1

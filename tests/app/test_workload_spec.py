@@ -184,15 +184,21 @@ class TestBuiltins:
             assert spec.source_ids()
 
     def test_fork_join_mirrors_legacy_graph(self):
-        from repro.app.taskgraph import fork_join_graph
+        """The builtin's defaults are the config's task-graph defaults,
+        so a config-only default cell runs exactly ``fork_join_spec()``."""
+        from repro.platform.config import PlatformConfig
 
-        spec = fork_join_spec()
-        graph = fork_join_graph()
-        for task in spec.tasks:
-            legacy = graph.task(task.task_id)
-            assert task.service_us == legacy.service_us
-            assert task.weight == legacy.weight
-            assert task.deadline_us == legacy.deadline_us
+        config = PlatformConfig()
+        assert fork_join_spec() == fork_join_spec(
+            fork_width=config.fork_width,
+            generation_period_us=config.generation_period_us,
+            source_service_us=config.source_service_us,
+            branch_service_us=config.branch_service_us,
+            sink_service_us=config.sink_service_us,
+            deadline_us=config.packet_deadline_us,
+            packet_flits=config.packet_flits,
+            multicast=config.multicast_fork,
+        )
 
     def test_pipeline_has_single_chain(self):
         spec = pipeline_spec(stages=4)

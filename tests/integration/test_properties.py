@@ -73,21 +73,25 @@ def test_every_packet_reaches_a_terminal_state(provider_nodes, sends,
 )
 def test_join_bookkeeping_invariants(sink_events):
     """Joins never exceed the number of fully-branched instances."""
-    from repro.app.taskgraph import TASK_SINK, fork_join_graph
-    from repro.app.workload import ForkJoinWorkload
+    from repro.app.workloads import (
+        GraphWorkload,
+        compile_workload,
+        fork_join_spec,
+    )
 
     sim = Simulator(seed=1)
-    workload = ForkJoinWorkload(sim, fork_join_graph())
+    workload = GraphWorkload(sim, compile_workload(fork_join_spec()))
+    sink_task = 3
 
     class FakePE:
         node_id = 9
-        task_id = TASK_SINK
+        task_id = sink_task
 
     pe = FakePE()
     seen = {}
     for seq, branch in sink_events:
         seen.setdefault(seq, set()).add(branch)
-        packet = Packet(3, TASK_SINK, instance=(7, seq), branch=branch)
+        packet = Packet(3, sink_task, instance=(7, seq), branch=branch)
         workload.packets_after_execution(pe, packet)
     complete = sum(1 for branches in seen.values() if len(branches) == 3)
     assert workload.joins == complete

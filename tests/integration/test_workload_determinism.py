@@ -5,10 +5,12 @@ Four angles, mirroring the other determinism layers:
 * key conservation — a workload-free cell content-hashes to the exact
   pre-workload payload (hand-rolled replica recipe), while attaching a
   declarative workload joins exactly its canonical form;
-* legacy equivalence — the built-in ``fork_join`` spec, run through the
-  generalised interpreter, reproduces the legacy
-  :class:`~repro.app.workload.ForkJoinWorkload` rows, stats and series
-  bit-identically, across repeats and across ``fast_path`` on/off;
+* config-only equivalence — a config-only cell (no declared workload) runs
+  exactly the explicit built-in ``fork_join`` spec built from the same
+  config task-graph fields: rows, stats and series bit-identical, for
+  every such field, across models and across ``fast_path`` on/off; the
+  numbers the retired hand-written fork-join application produced stay
+  pinned by ``tests/experiments/golden/``;
 * time-varying arrivals — burst-driven runs repeat byte-identically;
 * the workloads campaign axis — expansion order, size, key
   distinctness, byte-identical empty-axis expansion, and spec
@@ -103,7 +105,7 @@ def test_spec_fields_mint_fresh_cell_keys(changes):
     assert base != RunDescriptor("none", 7, 0, _CONFIG).key()
 
 
-# -- legacy equivalence ------------------------------------------------------
+# -- config-only equivalence -------------------------------------------------
 
 
 def _strip_workload(result):
@@ -159,17 +161,17 @@ def test_fork_join_spec_reproduces_legacy_run_bit_identically(
     name tells them apart."""
     overrides, spec_kwargs = _FORK_JOIN_VARIANTS[variant]
     config = _CONFIG.replace(**overrides)
-    legacy = run_single(model, seed=7, faults=3, config=config,
-                        keep_series=True)
+    config_only = run_single(model, seed=7, faults=3, config=config,
+                             keep_series=True)
     spec = run_single(model, seed=7, faults=3, config=config,
                       keep_series=True,
                       workload=fork_join_spec(**spec_kwargs))
-    assert legacy.workload is None
+    assert config_only.workload is None
     assert spec.workload == "fork_join"
-    assert _strip_workload(spec) == _strip_workload(legacy)
-    assert spec.noc_stats == legacy.noc_stats
-    assert spec.app_stats == legacy.app_stats
-    assert spec.series.as_dict() == legacy.series.as_dict()
+    assert _strip_workload(spec) == _strip_workload(config_only)
+    assert spec.noc_stats == config_only.noc_stats
+    assert spec.app_stats == config_only.app_stats
+    assert spec.series.as_dict() == config_only.series.as_dict()
 
 
 def test_config_only_load_aware_balances_the_static_weights():
@@ -200,7 +202,7 @@ def test_fork_join_spec_matches_legacy_across_fast_path():
 
 
 def test_multicast_spec_matches_legacy_multicast():
-    legacy = run_single(
+    config_only = run_single(
         "ffw", seed=7, faults=2,
         config=_CONFIG.replace(multicast_fork=True), keep_series=True,
     )
@@ -209,8 +211,8 @@ def test_multicast_spec_matches_legacy_multicast():
         config=_CONFIG.replace(multicast_fork=True), keep_series=True,
         workload=fork_join_spec(multicast=True),
     )
-    assert _strip_workload(spec) == _strip_workload(legacy)
-    assert spec.series.as_dict() == legacy.series.as_dict()
+    assert _strip_workload(spec) == _strip_workload(config_only)
+    assert spec.series.as_dict() == config_only.series.as_dict()
 
 
 # -- time-varying arrivals ---------------------------------------------------
