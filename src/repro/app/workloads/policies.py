@@ -93,14 +93,9 @@ def _clustered(topology, weights, rng, workload=None):
 
 
 def _load_aware(topology, weights, rng, workload=None):
-    demand = None
     if workload is not None:
-        getter = getattr(workload, "demand_weights", None)
-        if getter is not None:
-            demand = getter()
-    if not demand or not any(demand.values()):
-        demand = weights
-    return _balanced(topology, demand, rng)
+        weights = workload.demand_weights()
+    return _balanced(topology, weights, rng)
 
 
 MAPPING_POLICIES = {

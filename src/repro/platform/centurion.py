@@ -115,9 +115,10 @@ class CenturionPlatform:
             fast_path=self.config.fast_path,
             trace=self.trace,
         )
-        if workload is None:
+        declared = workload is not None
+        if not declared:
             config = self.config
-            compiled = compile_workload(fork_join_spec(
+            workload = fork_join_spec(
                 fork_width=config.fork_width,
                 generation_period_us=config.generation_period_us,
                 source_service_us=config.source_service_us,
@@ -126,11 +127,9 @@ class CenturionPlatform:
                 deadline_us=config.packet_deadline_us,
                 packet_flits=config.packet_flits,
                 multicast=config.multicast_fork,
-            ))
-            self.workload_spec = None
-        else:
-            compiled = compile_workload(workload)
-            self.workload_spec = compiled.spec
+            )
+        compiled = compile_workload(workload)
+        self.workload_spec = compiled.spec if declared else None
         self.graph = compiled.graph
         self.workload = GraphWorkload(self.sim, compiled)
         self.pes = {}
