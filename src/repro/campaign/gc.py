@@ -22,13 +22,17 @@ import csv
 import dataclasses
 import os
 
-from repro.campaign.index import INDEX_FILE, StoreIndex, campaign_dirs
+from repro.campaign.index import (
+    INDEX_FILE,
+    StoreIndex,
+    campaign_dirs,
+    iter_jsonl,
+)
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import (
     RESULTS_FILE,
     SPEC_FILE,
     encode_line,
-    iter_jsonl,
     worker_files,
 )
 

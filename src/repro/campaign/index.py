@@ -33,7 +33,7 @@ picks them up.
 import json
 import os
 
-from repro.campaign.store import RESULTS_FILE, iter_jsonl, worker_files
+from repro.campaign.store import RESULTS_FILE, worker_files
 
 INDEX_FILE = "index.jsonl"
 
@@ -54,6 +54,33 @@ def campaign_dirs(root):
         if os.path.isfile(os.path.join(root, name, RESULTS_FILE))
         or worker_files(os.path.join(root, name))
     ]
+
+
+def iter_jsonl(path, start=0):
+    """Yield ``(line_start, line_end, record)`` per *complete* line.
+
+    Byte-offset based (binary read).  A final line without a newline — a
+    torn append still in flight — is never yielded, so its bytes stay
+    below the scan watermark and are revisited once the line completes.
+    Complete but unparsable lines yield ``record=None``: they advance
+    the watermark (gc counts and drops them).
+    """
+    with open(path, "rb") as handle:
+        if start:
+            handle.seek(start)
+        offset = start
+        for line in handle:
+            end = offset + len(line)
+            if not line.endswith(b"\n"):
+                return  # torn tail
+            begin, offset = offset, end
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except (ValueError, UnicodeDecodeError):
+                record = None
+            if not isinstance(record, dict):
+                record = None
+            yield begin, end, record
 
 
 class StoreIndex:

@@ -26,8 +26,8 @@ cell's data (mirroring :meth:`~repro.campaign.index.StoreIndex.lookup`).
 import json
 import os
 
-from repro.campaign.index import campaign_dirs
-from repro.campaign.store import RESULTS_FILE, iter_jsonl, worker_files
+from repro.campaign.index import campaign_dirs, iter_jsonl
+from repro.campaign.store import RESULTS_FILE, worker_files
 
 
 def campaign_name(directory):

@@ -5,9 +5,9 @@ appended to ``results.jsonl`` as they complete — the checkpoint stream —
 and loaded back into memory once on open (last record per key wins, and
 only newline-terminated lines count, so a truncated final line from a
 crash costs only itself; the next append terminates it first instead of
-gluing a record onto it).  Records are keyed
-by :meth:`RunDescriptor.key`; see the package docstring for the
-stability contract.
+gluing a record onto it).  Records are keyed by
+:meth:`RunDescriptor.key`; see the package docstring for the stability
+contract.
 
 Store v2 adds multi-writer sharding: a store opened with ``worker=K``
 appends to its own ``results.worker-K.jsonl`` instead of the shared
@@ -66,33 +66,6 @@ def encode_line(record):
     reuse *byte*-identical, not merely value-identical.
     """
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def iter_jsonl(path, start=0):
-    """Yield ``(line_start, line_end, record)`` per *complete* line.
-
-    Byte-offset based (binary read).  A final line without a newline — a
-    torn append still in flight — is never yielded, so its bytes stay
-    below the scan watermark and are revisited once the line completes.
-    Complete but unparsable lines yield ``record=None``: they advance
-    the watermark (gc counts and drops them).
-    """
-    with open(path, "rb") as handle:
-        if start:
-            handle.seek(start)
-        offset = start
-        for line in handle:
-            end = offset + len(line)
-            if not line.endswith(b"\n"):
-                return  # torn tail
-            begin, offset = offset, end
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                record = None
-            if not isinstance(record, dict):
-                record = None
-            yield begin, end, record
 
 
 def _ends_torn(path):
@@ -258,6 +231,9 @@ class ResultStore:
     def _scan_file(self, path):
         """Fold one JSONL stream's complete lines into the memoised
         record map — the same lines gc, the index and rows read."""
+        # Imported here: the index module imports this one.
+        from repro.campaign.index import iter_jsonl
+
         self.scans += 1
         for _begin, _end, record in iter_jsonl(path):
             if record is not None and record.get("key"):

@@ -1,8 +1,9 @@
 """Behavioural tests for the generalised workload interpreter.
 
-Exercises graph shapes the legacy fork-join class cannot express —
-pipelines, fan-outs, all-to-all shuffles with fan-in 4 — plus the
-time-varying arrival gates and stochastic service distributions.
+Exercises graph shapes beyond the paper's fork-join graph (which
+``tests/app/test_workload.py`` covers) — pipelines, fan-outs,
+all-to-all shuffles with fan-in 4 — plus the time-varying arrival gates
+and stochastic service distributions.
 """
 
 import pytest

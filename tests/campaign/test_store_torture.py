@@ -22,11 +22,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.gc import export_jsonl, gc_root, load_records, merged_records
-from repro.campaign.index import StoreIndex
+from repro.campaign.index import StoreIndex, iter_jsonl
 from repro.campaign.store import (
     ResultStore,
     encode_line,
-    iter_jsonl,
     worker_results_file,
 )
 
