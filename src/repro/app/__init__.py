@@ -14,7 +14,6 @@ from repro.app.taskgraph import Task, TaskGraph
 from repro.app.workloads import (
     GraphWorkload,
     WorkloadSpec,
-    fork_join_spec,
     load_workload,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "TaskGraph",
     "GraphWorkload",
     "WorkloadSpec",
-    "fork_join_spec",
     "load_workload",
     "MetricsSampler",
     "MetricsSeries",
