@@ -16,6 +16,7 @@ remaining cells out across worker processes:
   collection, per-cell error context, progress reporting);
 * :mod:`repro.campaign.index` — :class:`StoreIndex`, the per-root
   cross-campaign dedup index (store v2);
+* :mod:`repro.campaign.rows` — the campaign merge every reader shares;
 * :mod:`repro.campaign.gc` — store management: ``campaign ls`` surveys,
   ``campaign gc`` compaction, merged CSV/JSONL export;
 * :mod:`repro.campaign.paper` — the three canonical paper campaigns and
@@ -85,7 +86,9 @@ derivable from the v1 files above, never required by them:
   (dry-run by default; ``--apply`` rewrites atomically, folds shards,
   drops orphans/duplicates/torn lines and rebuilds the root index —
   which is also how any index/row divergence is repaired), and
-  ``campaign export`` emits merged CSV/JSONL across campaigns.
+  ``campaign export`` emits merged CSV/JSONL across campaigns.  All
+  three read through :mod:`repro.campaign.rows` and agree with the
+  store and the index on what a record is.
 
 Hash-key stability contract
 ---------------------------

@@ -16,17 +16,24 @@ worker streams a reconcile would fold in.  ``apply`` rewrites
 one canonical line per surviving key in first-seen order, removes the
 worker streams, and rebuilds the root ``index.jsonl`` (compaction moves
 byte offsets).  A campaign with nothing to drop is left byte-untouched.
+
+Surveys and exports read through the campaign merge
+(:mod:`repro.campaign.rows`): ``ls`` and the dry run hold only keys and
+offsets, and ``apply`` reads survivors back from their surveyed offsets.
 """
 
 import csv
 import dataclasses
+import itertools
 import os
 
-from repro.campaign.index import (
-    INDEX_FILE,
-    StoreIndex,
-    campaign_dirs,
-    iter_jsonl,
+from repro.campaign.index import INDEX_FILE, StoreIndex, campaign_dirs
+from repro.campaign.rows import (
+    campaign_name,
+    iter_merged_records,
+    iter_merged_rows,
+    read_winners,
+    scan_campaign,
 )
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import (
@@ -89,47 +96,6 @@ class CampaignSummary:
         return data
 
 
-def load_records(directory):
-    """Merged ``key -> record`` map of a campaign directory.
-
-    Reads the main stream then every worker stream (sorted), exactly
-    like :class:`~repro.campaign.store.ResultStore`: last write wins per
-    key, first-seen order is preserved (the order gc compaction keeps).
-    Returns ``(records, stats)`` where stats counts ``valid`` record
-    lines, ``torn`` droppable lines and ``worker_files``.
-    """
-    records = {}
-    offsets = {}
-    valid = torn = 0
-    main = os.path.join(directory, RESULTS_FILE)
-    paths = [main] if os.path.exists(main) else []
-    shard_paths = worker_files(directory)
-    paths.extend(shard_paths)
-    for path in paths:
-        watermark = 0
-        for begin, end, record in iter_jsonl(path):
-            watermark = end
-            if record is None or not record.get("key"):
-                torn += 1
-                continue
-            valid += 1
-            records[record["key"]] = record
-            if path == main:
-                # Byte offset → key of the main stream (what index
-                # entries point at); lets gc verify the whole index in
-                # one sequential pass instead of per-key seeks.
-                offsets[begin] = record["key"]
-        if watermark < os.path.getsize(path):
-            torn += 1  # torn tail (interrupted append)
-    stats = {
-        "valid": valid,
-        "torn": torn,
-        "worker_files": len(shard_paths),
-        "offsets": offsets,
-    }
-    return records, stats
-
-
 def load_spec(directory):
     """The directory's ``spec.json`` as a CampaignSpec, or None.
 
@@ -146,8 +112,8 @@ def load_spec(directory):
 
 
 def _survey(directory):
-    """``(summary, records, orphans, offsets)`` for one campaign dir."""
-    records, stats = load_records(directory)
+    """``(summary, scan, orphans)`` for one campaign dir."""
+    scan = scan_campaign(directory)
     spec = load_spec(directory)
     spec_cells = None
     kind = "?"
@@ -156,20 +122,21 @@ def _survey(directory):
         kind = spec.kind
         spec_keys = {descriptor.key() for descriptor in spec.expand()}
         spec_cells = len(spec_keys)
-        orphans = set(records) - spec_keys
+        orphans = set(scan.winners) - spec_keys
+    stored = len(scan.winners)
     summary = CampaignSummary(
-        name=os.path.basename(os.path.normpath(directory)),
+        name=campaign_name(directory),
         directory=directory,
         kind=kind,
         spec_cells=spec_cells,
-        stored=len(records),
-        current=len(records) - len(orphans),
+        stored=stored,
+        current=stored - len(orphans),
         orphaned=len(orphans),
-        superseded=stats["valid"] - len(records),
-        torn=stats["torn"],
-        worker_files=stats["worker_files"],
+        superseded=scan.valid - stored,
+        torn=scan.torn,
+        worker_files=scan.worker_files,
     )
-    return summary, records, orphans, stats["offsets"]
+    return summary, scan, orphans
 
 
 def summarize(directory):
@@ -177,25 +144,35 @@ def summarize(directory):
     return _survey(directory)[0]
 
 
-def _compact(directory, summary, records, orphans):
+def _compact(directory, summary, scan, orphans):
     """Rewrite one directory per an already-computed survey (gc apply).
 
     Atomic (temp file + ``os.replace``): one canonical line per
     surviving key in first-seen order; worker streams are removed (their
-    records are already folded into ``records``).  A directory with
-    nothing to drop is left byte-untouched.
+    records are folded in).  A directory with nothing to drop is left
+    byte-untouched.  A survivor that no longer verifies raises with
+    ``results.jsonl`` untouched: gc never drops a record.
     """
     if not summary.droppable() and not summary.worker_files:
         return
     path = os.path.join(directory, RESULTS_FILE)
     tmp = "{}.gc.{}".format(path, os.getpid())
-    with open(tmp, "w") as handle:
-        for key, record in records.items():
-            if key in orphans:
-                continue
-            handle.write(encode_line(record))
-            handle.write("\n")
-    os.replace(tmp, path)
+    survivors = (key for key in scan.winners if key not in orphans)
+    try:
+        with open(tmp, "w") as handle:
+            for key, record in read_winners(scan.winners, survivors):
+                if record is None:
+                    raise RuntimeError(
+                        "{}: record {} changed since the gc survey; "
+                        "left results.jsonl untouched, rerun gc".format(
+                            directory, key)
+                    )
+                handle.write(encode_line(record))
+                handle.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)  # the rewrite failed: results.jsonl untouched
     for worker_path in worker_files(directory):
         os.remove(worker_path)
 
@@ -233,30 +210,32 @@ def gc_root(root, dirs=None, apply=False):
     surveys = [(directory,) + _survey(directory) for directory in dirs]
     index_stale = index_missing = 0
     if has_index and not apply:
-        # Verify the index against the surveys' single sequential pass:
-        # an entry is live iff the surveyed (campaign, offset) still
-        # holds its key.  Entries pointing outside the surveyed dirs
-        # fall back to a per-key seek (rare: explicit --dir subsets).
+        # An entry naming its key's surveyed main-stream winner is live;
+        # any other entry falls back to a per-key seek.
         index = StoreIndex(root)
-        offsets_by_name = {
-            os.path.basename(os.path.normpath(directory)): offsets
-            for directory, _s, _r, _o, offsets in surveys
-        }
+        surveyed = set()
+        for directory, _summary, scan, _orphans in surveys:
+            main = os.path.join(directory, RESULTS_FILE)
+            name = campaign_name(directory)
+            surveyed.update(
+                (key, name, offset)
+                for key, (path, offset) in scan.winners.items()
+                if path == main
+            )
         for key, campaign, offset in index.entries():
-            if campaign in offsets_by_name:
-                live = offsets_by_name[campaign].get(offset) == key
-            else:
-                live = index.lookup(key) is not None
-            index_stale += 0 if live else 1
-        indexed = set(index.keys())
-        for _directory, _summary, _records, _orphans, offsets in surveys:
+            live = (key, campaign, offset) in surveyed
+            if not live and index.lookup(key) is None:
+                index_stale += 1
+        indexed = index.keys()
+        for _directory, _summary, scan, _orphans in surveys:
             # Only main-stream keys count: worker shard streams are
             # deliberately unindexed until a reconcile folds them in.
-            index_missing += len(set(offsets.values()) - indexed)
+            main_keys = itertools.islice(scan.winners, scan.main_keys)
+            index_missing += sum(1 for key in main_keys if key not in indexed)
     summaries = []
-    for directory, summary, records, orphans, _offsets in surveys:
+    for directory, summary, scan, orphans in surveys:
         if apply:
-            _compact(directory, summary, records, orphans)
+            _compact(directory, summary, scan, orphans)
         summaries.append(summary)
     if apply and (has_index or campaign_dirs(root)):
         StoreIndex(root).rebuild()
@@ -270,53 +249,15 @@ def gc_root(root, dirs=None, apply=False):
     )
 
 
-def merged_records(dirs):
-    """One ``key -> (campaign, record)`` map across campaign directories.
-
-    Directories are taken in the given order, keys within one campaign
-    in first-seen order; the first campaign holding a key wins (under
-    the dedup contract every holder's record is byte-identical anyway).
-    Materialises every record — for sweep-scale roots use the streaming
-    twin, :func:`repro.campaign.rows.iter_merged_records`, which yields
-    the same merge one record at a time.
-    """
-    merged = {}
-    for directory in dirs:
-        name = os.path.basename(os.path.normpath(directory))
-        records, _stats = load_records(directory)
-        for key, record in records.items():
-            if key not in merged:
-                merged[key] = (name, record)
-    return merged
-
-
-def _iter_triples(source):
-    """Normalise an export source to ``(campaign, key, record)`` triples.
-
-    Accepts either the :func:`merged_records` mapping (the materialised
-    legacy surface) or any iterable of triples — in particular
-    :func:`repro.campaign.rows.iter_merged_records`, the streaming
-    iterator ``campaign export`` and ``campaign report`` feed through.
-    """
-    if isinstance(source, dict):
-        for key, (campaign, record) in source.items():
-            yield campaign, key, record
-    else:
-        for triple in source:
-            yield triple
-
-
-def export_jsonl(source, stream):
-    """Write merged records as canonical JSONL (store-byte-identical).
+def export_jsonl(dirs, stream):
+    """Write the merged records of ``dirs`` as canonical JSONL.
 
     Each line is exactly the line a store would write for that record,
-    so exported rows round-trip losslessly.  ``source`` is a
-    :func:`merged_records` mapping or a ``(campaign, key, record)``
-    iterable (see :func:`_iter_triples`) — the latter streams, holding
-    one record at a time.  Returns the row count.
+    so exported rows round-trip losslessly.  Streams, holding one record
+    at a time.  Returns the row count.
     """
     count = 0
-    for _campaign, _key, record in _iter_triples(source):
+    for _campaign, _key, record in iter_merged_records(dirs):
         stream.write(encode_line(record))
         stream.write("\n")
         count += 1
@@ -332,8 +273,6 @@ def csv_columns(dirs):
     carries it (legacy roots keep their historic header).  This is the
     header-discovery pass a streaming CSV export runs before writing.
     """
-    from repro.campaign.rows import iter_merged_rows
-
     extra = set()
     for _campaign, _key, row in iter_merged_rows(dirs):
         extra.update(row)
@@ -342,35 +281,19 @@ def csv_columns(dirs):
     return columns
 
 
-def export_csv(source, stream, columns=None):
-    """Write merged scalar rows as CSV; returns the row count.
+def export_csv(dirs, stream):
+    """Write the merged scalar rows of ``dirs`` as CSV; returns the count.
 
-    Columns: ``campaign``, ``key``, then the scalar row fields
-    (:data:`ROW_COLUMNS` order, extra fields appended alphabetically).
-    Fields a row lacks (e.g. ``scenario`` on legacy cells) are blank.
-
-    With a :func:`merged_records` mapping the column union is computed
-    in place; a streaming ``(campaign, key, record)`` source must bring
-    precomputed ``columns`` (:func:`csv_columns`) because the header is
-    written before the first row.
+    Columns: ``campaign``, ``key``, then :func:`csv_columns`.  Fields a
+    row lacks (e.g. ``scenario`` on legacy cells) are blank.  Both
+    passes read :func:`~repro.campaign.rows.iter_merged_rows`, so they
+    (and ``campaign report``) skip the same records.
     """
-    if columns is None:
-        if not isinstance(source, dict):
-            raise ValueError(
-                "streaming export_csv needs precomputed columns "
-                "(csv_columns); only a merged_records mapping can "
-                "derive them in place"
-            )
-        extra = set()
-        for _campaign, record in source.values():
-            extra.update(record.get("row", {}))
-        columns = [c for c in ROW_COLUMNS if c in extra or c != "scenario"]
-        columns.extend(sorted(extra - set(ROW_COLUMNS)))
+    columns = csv_columns(dirs)
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["campaign", "key"] + list(columns))
+    writer.writerow(["campaign", "key"] + columns)
     count = 0
-    for campaign, key, record in _iter_triples(source):
-        row = record.get("row", {})
+    for campaign, key, row in iter_merged_rows(dirs):
         writer.writerow(
             [campaign, key] + [row.get(column, "") for column in columns]
         )

@@ -16,9 +16,10 @@ is rescanned from the start.
 The index is **derivable, never required**: a pre-v2 campaign directory
 joins the dedup pool on the next :meth:`StoreIndex.refresh`, and a stale
 or corrupt index is always repairable — ``campaign gc --apply`` rebuilds
-it from the row files (pinned by the store torture tests).  Lookups
-verify the record they seek to: an entry whose offset no longer holds
-its key reads as a miss, never as wrong data.
+it from the row files (pinned by the store torture tests).  A mistyped
+index line costs only itself.  Lookups verify the record they seek to:
+an entry whose offset no longer holds its key reads as a miss, never as
+wrong data.
 
 Dedup scope: the lookup key is the full simulation content hash
 (:meth:`~repro.campaign.spec.RunDescriptor.key` — schema, model, seed,
@@ -30,10 +31,16 @@ are transient; :meth:`~repro.campaign.store.ResultStore.reconcile`
 picks them up.
 """
 
-import json
 import os
 
-from repro.campaign.store import RESULTS_FILE, worker_files
+from repro.campaign.store import (
+    RESULTS_FILE,
+    encode_line,
+    iter_jsonl,
+    read_record_at,
+    record_key,
+    worker_files,
+)
 
 INDEX_FILE = "index.jsonl"
 
@@ -56,31 +63,9 @@ def campaign_dirs(root):
     ]
 
 
-def iter_jsonl(path, start=0):
-    """Yield ``(line_start, line_end, record)`` per *complete* line.
-
-    Byte-offset based (binary read).  A final line without a newline — a
-    torn append still in flight — is never yielded, so its bytes stay
-    below the scan watermark and are revisited once the line completes.
-    Complete but unparsable lines yield ``record=None``: they advance
-    the watermark (gc counts and drops them).
-    """
-    with open(path, "rb") as handle:
-        if start:
-            handle.seek(start)
-        offset = start
-        for line in handle:
-            end = offset + len(line)
-            if not line.endswith(b"\n"):
-                return  # torn tail
-            begin, offset = offset, end
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                record = None
-            if not isinstance(record, dict):
-                record = None
-            yield begin, end, record
+def _is_offset(value):
+    """True for a well-typed byte offset: a non-negative ``int``."""
+    return type(value) is int and value >= 0
 
 
 class StoreIndex:
@@ -113,18 +98,16 @@ class StoreIndex:
     def _load(self):
         if not os.path.exists(self.path):
             return
-        for _begin, _end, record in iter_jsonl(self.path):
-            if record is None:
-                continue  # torn/garbage index lines cost only themselves
-            campaign = record.get("campaign")
-            if campaign is None:
+        for _begin, _end, line in iter_jsonl(self.path):
+            # Torn, garbage and mistyped index lines cost only themselves.
+            if line is None or not isinstance(line.get("campaign"), str):
                 continue
-            if "key" in record:
-                self._entries[record["key"]] = (
-                    campaign, record.get("offset", -1)
-                )
-            elif "scanned" in record:
-                self._scanned[campaign] = record["scanned"]
+            if "key" in line:
+                key, offset = record_key(line), line.get("offset")
+                if key is not None and _is_offset(offset):
+                    self._entries[key] = (line["campaign"], offset)
+            elif _is_offset(line.get("scanned")):
+                self._scanned[line["campaign"]] = line["scanned"]
 
     def refresh(self, persist=True):
         """Index every row appended under the root since the last pass.
@@ -151,9 +134,9 @@ class StoreIndex:
             watermark = start
             for begin, end, record in iter_jsonl(path, start=start):
                 watermark = end
-                if record is None or not record.get("key"):
+                key = record_key(record)
+                if key is None:
                     continue
-                key = record["key"]
                 self._entries[key] = (name, begin)
                 added.append(
                     {"campaign": name, "key": key, "offset": begin}
@@ -164,10 +147,7 @@ class StoreIndex:
         if added and persist:
             with open(self.path, "a") as handle:
                 for entry in added:
-                    handle.write(
-                        json.dumps(entry, sort_keys=True,
-                                   separators=(",", ":"))
-                    )
+                    handle.write(encode_line(entry))
                     handle.write("\n")
         return sum(1 for entry in added if "key" in entry)
 
@@ -185,19 +165,9 @@ class StoreIndex:
         path = os.path.join(self.root, campaign, RESULTS_FILE)
         try:
             with open(path, "rb") as handle:
-                handle.seek(offset)
-                line = handle.readline()
+                return read_record_at(handle, offset, key)
         except (OSError, ValueError):
-            return None
-        if not line.endswith(b"\n"):
-            return None
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return None
-        if not isinstance(record, dict) or record.get("key") != key:
-            return None  # stale entry (row file changed underneath)
-        return record
+            return None  # row file gone, or an unseekable offset
 
     def stale_keys(self):
         """Keys whose entries no longer verify (diverged index)."""

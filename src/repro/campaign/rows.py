@@ -1,33 +1,37 @@
-"""Streaming row iteration over campaign stores (O(keys) memory).
+"""The campaign merge: one key/offset scan, then streaming verified reads.
 
-:func:`~repro.campaign.gc.load_records` materialises every record of a
-campaign — series included — which is fine for surveys but not for
-sweep-scale analysis: a 10⁶-cell root with series attached does not fit
-in memory.  This module is the row-iterator surface the analysis layer
-(:mod:`repro.analysis.streaming`, ``campaign report``/``export``) builds
-on instead: records stream one at a time, and only *keys and byte
-offsets* are ever held — never the decoded records themselves.
+Every reader of the merged view goes through this module: the analysis
+layer (:mod:`repro.analysis.streaming`, ``campaign report``), ``campaign
+export`` and the ``campaign ls``/``gc`` surveys (:mod:`repro.campaign.gc`).
+Only *keys and byte offsets* are ever held — never the decoded records —
+so a 10⁶-cell root with series attached streams in O(keys) memory.
 
-The merge semantics are exactly the store's
-(:class:`~repro.campaign.store.ResultStore` and
-:func:`~repro.campaign.gc.load_records`): within one campaign the main
-stream is read before the worker streams, the last write per key wins,
-and keys yield in first-seen order; across campaigns the first campaign
+The merge semantics are the store's
+(:class:`~repro.campaign.store.ResultStore`): within one campaign the
+streams are read in :func:`~repro.campaign.store.stream_paths` order
+(main stream, then worker streams), the last write per key wins, and
+keys yield in first-seen order; across campaigns the first campaign
 holding a key wins (under the dedup contract every holder's line is
 byte-identical anyway).  Torn, garbage and keyless lines are skipped,
 costing only themselves.
 
 Winning records are re-read by seeking to their recorded offset, and the
-record found there is *verified* to still carry its key — a file
-compacted underneath a running iteration yields a skip, never another
-cell's data (mirroring :meth:`~repro.campaign.index.StoreIndex.lookup`).
+record found there is *verified* to still carry its key
+(:func:`~repro.campaign.store.read_record_at`, the same read
+:meth:`~repro.campaign.index.StoreIndex.lookup` does) — a file compacted
+underneath a running iteration yields a skip, never another cell's data.
 """
 
-import json
+import dataclasses
 import os
 
-from repro.campaign.index import campaign_dirs, iter_jsonl
-from repro.campaign.store import RESULTS_FILE, worker_files
+from repro.campaign.store import (
+    RESULTS_FILE,
+    iter_jsonl,
+    read_record_at,
+    record_key,
+    stream_paths,
+)
 
 
 def campaign_name(directory):
@@ -35,74 +39,90 @@ def campaign_name(directory):
     return os.path.basename(os.path.normpath(directory))
 
 
-def _stream_paths(directory):
-    """The directory's JSONL streams in merge order (main, then shards)."""
+@dataclasses.dataclass
+class CampaignScan:
+    """One key/offset pass over a campaign's streams (no record kept)."""
+
+    #: key -> ``(path, offset)`` of its last write, in first-seen order.
+    winners: dict
+    #: Keys first seen in the main stream: the first ``winners`` entries.
+    main_keys: int = 0
+    #: Complete record lines, superseded ones included.
+    valid: int = 0
+    #: Torn tails, garbage, blank and keyless lines.
+    torn: int = 0
+    #: Worker shard streams read.
+    worker_files: int = 0
+
+
+def scan_campaign(directory):
+    """The :class:`CampaignScan` of one campaign directory's streams."""
+    scan = CampaignScan(winners={})
     main = os.path.join(directory, RESULTS_FILE)
-    paths = [main] if os.path.exists(main) else []
-    paths.extend(worker_files(directory))
-    return paths
-
-
-def iter_campaign_records(directory, skip=None):
-    """Yield ``(key, record)`` winners of one campaign, streaming.
-
-    Two passes, O(keys) memory: the first scans every stream recording
-    only each key's winning ``(path, offset)`` (last write wins, merge
-    order as documented above); the second seeks back to the winners and
-    yields them in first-seen key order — the order gc compaction and
-    ``campaign export`` preserve.  ``skip`` (a set of keys) suppresses
-    keys an earlier campaign already yielded without decoding their
-    records.
-    """
-    winners = {}
-    order = []
-    for path in _stream_paths(directory):
-        for begin, _end, record in iter_jsonl(path):
-            if record is None:
+    for path in stream_paths(directory):
+        watermark = 0
+        for begin, end, record in iter_jsonl(path):
+            watermark = end
+            key = record_key(record)
+            if key is None:
+                scan.torn += 1
                 continue
-            key = record.get("key")
-            if not key:
-                continue
-            if key not in winners:
-                order.append(key)
-            winners[key] = (path, begin)
+            scan.valid += 1
+            scan.winners[key] = (path, begin)
+        if watermark < os.path.getsize(path):
+            scan.torn += 1  # torn tail (interrupted append)
+        if path == main:
+            scan.main_keys = len(scan.winners)
+        else:
+            scan.worker_files += 1
+    return scan
+
+
+def read_winners(winners, keys):
+    """Yield ``(key, record)`` for ``keys``, seek-verified at the
+    ``winners`` offsets; ``record`` is None when the line no longer
+    verifies or its stream is gone."""
     handles = {}
     try:
-        for key in order:
-            if skip is not None and key in skip:
-                continue
+        for key in keys:
             path, offset = winners[key]
             handle = handles.get(path)
             if handle is None:
                 try:
                     handle = handles[path] = open(path, "rb")
                 except OSError:
-                    continue  # stream removed underneath (gc/reconcile)
-            handle.seek(offset)
-            line = handle.readline()
-            if not line.endswith(b"\n"):
-                continue  # file changed underneath: skip, never lie
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                continue
-            if not isinstance(record, dict) or record.get("key") != key:
-                continue  # verified stale: compaction moved the line
-            yield key, record
+                    yield key, None  # stream removed underneath
+                    continue
+            yield key, read_record_at(handle, offset, key)
     finally:
         for handle in handles.values():
             handle.close()
+
+
+def iter_campaign_records(directory, skip=None):
+    """Yield ``(key, record)`` winners of one campaign, streaming.
+
+    Two passes, O(keys) memory: :func:`scan_campaign` records each key's
+    winning offset; the verified reads then yield the records in
+    first-seen key order — the order gc compaction and ``campaign
+    export`` preserve — skipping any that no longer verify.  ``skip`` (a
+    set of keys) suppresses keys an earlier campaign already yielded
+    without decoding their records.
+    """
+    winners = scan_campaign(directory).winners
+    keys = winners if skip is None else (k for k in winners if k not in skip)
+    for key, record in read_winners(winners, keys):
+        if record is not None:
+            yield key, record
 
 
 def iter_merged_records(dirs):
     """Yield ``(campaign, key, record)`` across campaign directories.
 
     Directories are taken in the given order and the first campaign
-    holding a key wins — the exact merge
-    :func:`~repro.campaign.gc.merged_records` computes, but streaming:
-    at no point is more than one decoded record (plus the key/offset
-    maps) alive.  This is the iterator ``campaign export`` and the
-    streaming analysis layer consume.
+    holding a key wins, streaming: at no point is more than one decoded
+    record (plus the key/offset maps) alive.  This is the iterator
+    ``campaign export`` and the streaming analysis layer consume.
     """
     seen = set()
     for directory in dirs:
@@ -112,28 +132,16 @@ def iter_merged_records(dirs):
             yield name, key, record
 
 
-def iter_root_records(root, dirs=None):
-    """:func:`iter_merged_records` over every campaign under ``root``.
-
-    ``dirs`` (names or paths) restricts the pass; the default is every
-    subdirectory holding a ``results.jsonl`` or worker stream, in sorted
-    name order — the deterministic whole-root merge ``campaign report``
-    aggregates.
-    """
-    if dirs is None:
-        dirs = [os.path.join(root, name) for name in campaign_dirs(root)]
-    return iter_merged_records(dirs)
-
-
 def iter_merged_rows(dirs):
     """Yield ``(campaign, key, row)`` scalar rows across campaigns.
 
     The ``row`` is each winning record's scalar-row dict (see
     :mod:`repro.analysis.export` for the schema); records without one
-    (foreign JSONL) are skipped.  Series are decoded as part of the
-    record's JSON line but never retained — the constant-memory
-    aggregation path (:mod:`repro.analysis.streaming`) holds only
-    per-group sketches on top of this iterator.
+    (foreign JSONL, or a ``row`` that is not a dict) are skipped.
+    Series are decoded as part of the record's JSON line but never
+    retained — the constant-memory aggregation path
+    (:mod:`repro.analysis.streaming`) holds only per-group sketches on
+    top of this iterator.
     """
     for campaign, key, record in iter_merged_records(dirs):
         row = record.get("row")

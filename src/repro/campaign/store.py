@@ -26,6 +26,12 @@ on open, and every ``has_result``/``__contains__`` check afterwards is a
 dict lookup — resume paths never re-read ``results.jsonl`` per key
 (pinned by ``tests/campaign/test_executor.py``).  The per-instance
 ``scans`` counter records how many stream files were read.
+
+This module owns the record line format; the index, the campaign merge
+(:mod:`repro.campaign.rows`) and gc read through it: :func:`encode_line`,
+:func:`iter_jsonl`, :func:`record_key`, the seek-and-verify
+:func:`read_record_at` and the merge order :func:`stream_paths`; one
+private decoder parses every line they read.
 """
 
 import fnmatch
@@ -58,6 +64,14 @@ def worker_files(directory):
     ]
 
 
+def stream_paths(directory):
+    """The directory's JSONL streams in merge order: the main
+    ``results.jsonl`` (when present), then the sorted worker streams."""
+    main = os.path.join(directory, RESULTS_FILE)
+    paths = [main] if os.path.exists(main) else []
+    return paths + worker_files(directory)
+
+
 def encode_line(record):
     """The canonical, byte-stable JSONL serialisation of one record.
 
@@ -66,6 +80,63 @@ def encode_line(record):
     reuse *byte*-identical, not merely value-identical.
     """
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _decode_line(line):
+    """The JSON object a raw (bytes) line holds, or None for anything
+    else: garbage, a blank line, a bare list or number."""
+    try:
+        value = json.loads(line.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        return None
+    return value if isinstance(value, dict) else None
+
+
+def record_key(record):
+    """The store key of a decoded line, or None when it is not a record.
+
+    A store record is a dict whose ``key`` is a non-empty ``str``; every
+    reader treats any other line as garbage.
+    """
+    if record is None:
+        return None
+    key = record.get("key")
+    return key if isinstance(key, str) and key else None
+
+
+def iter_jsonl(path, start=0):
+    """Yield ``(line_start, line_end, record)`` per *complete* line.
+
+    Byte-offset based (binary read).  A final line without a newline — a
+    torn append still in flight — is never yielded, so its bytes stay
+    below the scan watermark and are revisited once the line completes.
+    Complete but unparsable lines yield ``record=None``: they advance
+    the watermark (gc counts and drops them).
+    """
+    with open(path, "rb") as handle:
+        if start:
+            handle.seek(start)
+        offset = start
+        for line in handle:
+            end = offset + len(line)
+            if not line.endswith(b"\n"):
+                return  # torn tail
+            begin, offset = offset, end
+            yield begin, end, _decode_line(line)
+
+
+def read_record_at(handle, offset, key):
+    """The record carrying ``key`` at byte ``offset`` of an open stream.
+
+    Seek-and-verify: a file rewritten since the offset was taken reads
+    as None, never as another cell's data.
+    """
+    handle.seek(offset)
+    line = handle.readline()
+    if not line.endswith(b"\n"):
+        return None
+    record = _decode_line(line)
+    return record if record_key(record) == key else None
 
 
 def _ends_torn(path):
@@ -224,20 +295,17 @@ class ResultStore:
         self._load()
 
     def _load(self):
-        for path in [self.path] + worker_files(self.directory):
-            if os.path.exists(path):
-                self._scan_file(path)
+        for path in stream_paths(self.directory):
+            self._scan_file(path)
 
     def _scan_file(self, path):
         """Fold one JSONL stream's complete lines into the memoised
         record map — the same lines gc, the index and rows read."""
-        # Imported here: the index module imports this one.
-        from repro.campaign.index import iter_jsonl
-
         self.scans += 1
         for _begin, _end, record in iter_jsonl(path):
-            if record is not None and record.get("key"):
-                self._records[record["key"]] = record
+            key = record_key(record)
+            if key is not None:
+                self._records[key] = record
 
     def __len__(self):
         return len(self._records)
@@ -279,8 +347,9 @@ class ResultStore:
         written is byte-identical to what any other store writes for the
         same record.
         """
-        if not record.get("key"):
-            raise ValueError("store records need a non-empty 'key'")
+        key = record_key(record)
+        if key is None:
+            raise ValueError("store records need a non-empty str 'key'")
         if self._handle is None:
             torn = _ends_torn(self.write_path)
             self._handle = open(self.write_path, "a")
@@ -289,7 +358,7 @@ class ResultStore:
         self._handle.write(encode_line(record))
         self._handle.write("\n")
         self._handle.flush()
-        self._records[record["key"]] = record
+        self._records[key] = record
         return record
 
     def save_result(self, descriptor, result, key=None):
@@ -319,30 +388,21 @@ class ResultStore:
             for path in paths:
                 consumed = 0
                 while True:
+                    start = consumed
                     with open(path, "rb") as handle:
                         handle.seek(consumed)
-                        data = handle.read()
-                    progressed = 0
-                    for line in data.splitlines(keepends=True):
-                        if not line.endswith(b"\n"):
-                            break  # torn tail: an append still in flight
-                        progressed += len(line)
-                        if not line.strip():
-                            continue
-                        try:
-                            record = json.loads(line.decode("utf-8"))
-                        except (ValueError, UnicodeDecodeError):
-                            continue
-                        if not isinstance(record, dict) or not record.get(
-                                "key"):
-                            continue
-                        if torn:
-                            out.write("\n")
-                            torn = False
-                        out.write(line.decode("utf-8"))
-                        folded += 1
-                    consumed += progressed
-                    if not progressed:
+                        for line in handle:
+                            if not line.endswith(b"\n"):
+                                break  # torn tail: an append in flight
+                            consumed += len(line)
+                            if record_key(_decode_line(line)) is None:
+                                continue
+                            if torn:
+                                out.write("\n")
+                                torn = False
+                            out.write(line.decode("utf-8"))
+                            folded += 1
+                    if consumed == start:
                         break  # size stable (or only a torn tail left)
                     out.flush()
                 os.remove(path)

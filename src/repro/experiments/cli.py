@@ -58,7 +58,6 @@ import sys
 from repro.analysis import report as analysis_report
 from repro.campaign import gc as store_gc
 from repro.campaign import paper
-from repro.campaign import rows as store_rows
 from repro.campaign import serve
 from repro.campaign.client import CampaignClient, ServeError
 from repro.campaign.executor import run_campaign
@@ -755,26 +754,17 @@ def cmd_campaign_export(args):
     must be known before the first row is written).
     """
     dirs = _manage_dirs(args)
-    if args.format == "csv":
-        columns = store_gc.csv_columns(dirs)
-
-        def writer(stream):
-            return store_gc.export_csv(
-                store_rows.iter_merged_records(dirs), stream,
-                columns=columns,
-            )
-    else:
-        def writer(stream):
-            return store_gc.export_jsonl(
-                store_rows.iter_merged_records(dirs), stream
-            )
+    export = (
+        store_gc.export_csv if args.format == "csv"
+        else store_gc.export_jsonl
+    )
     if args.out:
         with open(args.out, "w") as stream:
-            count = writer(stream)
+            count = export(dirs, stream)
         print("exported {} rows to {}".format(count, args.out),
               file=sys.stderr)
     else:
-        writer(sys.stdout)
+        export(dirs, sys.stdout)
     return 0
 
 

@@ -144,6 +144,32 @@ class TestGc:
         store_gc.gc_root(root, apply=True)
         assert open(_results_path(root, "two"), "rb").read() == before
 
+    def test_apply_raises_when_stream_changes_after_survey(
+            self, tmp_path, monkeypatch):
+        """A survivor that no longer verifies at its surveyed offset
+        stops the rewrite: results.jsonl keeps its bytes, no temp file
+        is left and no record is dropped."""
+        directory = str(tmp_path / "camp")
+        os.makedirs(directory)
+        path = os.path.join(directory, RESULTS_FILE)
+        lines = [encode_line({"key": key, "row": {}}) + "\n"
+                 for key in ("a", "b", "a")]
+        with open(path, "w") as handle:
+            handle.writelines(lines)
+        survey = store_gc._survey
+
+        def survey_then_rewrite(directory):
+            surveyed = survey(directory)
+            with open(path, "w") as handle:
+                handle.writelines(lines[1:])  # every offset moves
+            return surveyed
+
+        monkeypatch.setattr(store_gc, "_survey", survey_then_rewrite)
+        with pytest.raises(RuntimeError, match="changed since the gc survey"):
+            store_gc.gc_root(str(tmp_path), apply=True)
+        assert open(path).read() == "".join(lines[1:])
+        assert os.listdir(directory) == [RESULTS_FILE]
+
     def test_dry_run_reports_index_divergence(self, tmp_path, capsys):
         root = _build_root(tmp_path)
         StoreIndex(root).refresh()

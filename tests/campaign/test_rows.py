@@ -1,13 +1,13 @@
-"""Streaming row iterator: same merge as the materialised surface.
+"""Streaming row iterator: the one campaign merge, pinned.
 
-``repro.campaign.rows`` promises the exact merge semantics of
-``gc.load_records``/``merged_records`` — main stream before worker
-shards, last write per key wins, first-seen key order, first campaign
-holding a key wins across directories — while holding only keys and
-byte offsets.  These tests pin that equivalence (including under
-hypothesis-driven duplicate/torn/shard streams), the never-lie rule for
-files rewritten underneath a running iteration, and the streaming
-export paths built on top.
+``repro.campaign.rows`` is the merge every merged reader uses — main
+stream before worker shards, last write per key wins, first-seen key
+order, first campaign holding a key wins across directories — while
+holding only keys and byte offsets.  These tests pin that merge against
+an oracle that folds one :class:`~repro.campaign.store.ResultStore` per
+directory (including under hypothesis-driven duplicate/torn/shard
+streams), the never-lie rule for files rewritten underneath a running
+iteration, and the streaming export paths built on top.
 """
 
 import io
@@ -17,19 +17,14 @@ import os
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.gc import (
-    csv_columns,
-    export_csv,
-    export_jsonl,
-    merged_records,
-)
+from repro.campaign.gc import csv_columns, export_csv, export_jsonl
+from repro.campaign.index import campaign_dirs
 from repro.campaign.rows import (
     iter_campaign_records,
     iter_merged_records,
     iter_merged_rows,
-    iter_root_records,
 )
-from repro.campaign.store import encode_line, worker_results_file
+from repro.campaign.store import ResultStore, encode_line, worker_results_file
 
 SETTINGS = settings(
     max_examples=30,
@@ -150,26 +145,51 @@ def test_rewritten_file_yields_skip_never_wrong_data(tmp_path):
         assert record.get("key") == key
 
 
-def test_iter_root_records_defaults_to_sorted_campaigns(tmp_path):
+def test_campaign_dirs_order_merges_sorted_campaigns(tmp_path):
     make_store(str(tmp_path / "bbb"), [make_record("b", 2)])
     make_store(str(tmp_path / "aaa"), [make_record("a", 1)])
-    got = list(iter_root_records(str(tmp_path)))
+    dirs = [str(tmp_path / name) for name in campaign_dirs(str(tmp_path))]
+    got = list(iter_merged_records(dirs))
     assert [campaign for campaign, _, _ in got] == ["aaa", "bbb"]
 
 
 def test_iter_merged_rows_skips_rowless_records(tmp_path):
     record = make_record("a", 1)
     bare = {"key": "bare", "model": "none"}
+    null_row = {"key": "null-row", "model": "none", "row": None}
     store = str(tmp_path / "camp")
     os.makedirs(store)
     with open(os.path.join(store, "results.jsonl"), "w") as handle:
         handle.write(encode_line(record) + "\n")
         handle.write(encode_line(bare) + "\n")
+        handle.write(encode_line(null_row) + "\n")
     rows = list(iter_merged_rows([store]))
     assert [(campaign, key) for campaign, key, _ in rows] == [
         ("camp", "a")
     ]
     assert rows[0][2] == record["row"]
+    # CSV writes the same rows its header pass read; JSONL keeps every
+    # record.
+    sink = io.StringIO()
+    assert export_csv([store], sink) == 1
+    assert sink.getvalue().splitlines() == [
+        "campaign,key,model,seed,faults,settling_time_ms,"
+        "settled_performance,recovery_time_ms,recovered_performance,"
+        "total_switches",
+        "camp,a,none,1,0,1.0,1.0,0.0,1.0,1",
+    ]
+    assert export_jsonl([store], io.StringIO()) == 3
+
+
+def store_fold(dirs):
+    """Oracle merge: one ResultStore per directory, first holder wins."""
+    merged = {}
+    for directory in dirs:
+        name = os.path.basename(directory)
+        store = ResultStore(directory)
+        for key in store.keys():
+            merged.setdefault(key, (name, store.get(key)))
+    return merged
 
 
 @SETTINGS
@@ -192,48 +212,40 @@ def test_streaming_merge_equals_materialised(tmp_path_factory, main_a,
             [make_record(k, v) for k, v in main_b],
         ),
     ]
-    legacy = merged_records(dirs)
+    oracle = store_fold(dirs)
     streamed = list(iter_merged_records(dirs))
-    assert [key for _, key, _ in streamed] == list(legacy)
+    assert [key for _, key, _ in streamed] == list(oracle)
     for campaign, key, record in streamed:
-        assert legacy[key] == (campaign, record)
+        assert oracle[key] == (campaign, record)
 
 
-def test_streaming_exports_match_materialised(tmp_path):
+def test_streaming_exports_match_expected_output(tmp_path):
+    records = [make_record("a", 1), make_record("b", 2), make_record("c", 3)]
     dirs = [
-        make_store(
-            str(tmp_path / "alpha"),
-            [make_record("a", 1), make_record("b", 2)],
-        ),
-        make_store(str(tmp_path / "beta"), [make_record("c", 3)]),
+        make_store(str(tmp_path / "alpha"), records[:2]),
+        make_store(str(tmp_path / "beta"), records[2:]),
     ]
-    legacy_jsonl, streamed_jsonl = io.StringIO(), io.StringIO()
-    assert export_jsonl(merged_records(dirs), legacy_jsonl) == 3
-    assert export_jsonl(iter_merged_records(dirs), streamed_jsonl) == 3
-    assert streamed_jsonl.getvalue() == legacy_jsonl.getvalue()
+    jsonl = io.StringIO()
+    assert export_jsonl(dirs, jsonl) == 3
+    assert jsonl.getvalue() == "".join(encode_line(r) + "\n" for r in records)
 
     columns = csv_columns(dirs)
-    legacy_csv, streamed_csv = io.StringIO(), io.StringIO()
-    export_csv(merged_records(dirs), legacy_csv)
-    export_csv(iter_merged_records(dirs), streamed_csv, columns=columns)
-    assert streamed_csv.getvalue() == legacy_csv.getvalue()
-
-
-def test_streaming_csv_requires_columns(tmp_path):
-    store = make_store(str(tmp_path / "camp"), [make_record("a", 1)])
-    try:
-        export_csv(iter_merged_records([store]), io.StringIO())
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("columns-less streaming export must raise")
+    assert "scenario" not in columns
+    csv_out = io.StringIO()
+    assert export_csv(dirs, csv_out) == 3
+    assert csv_out.getvalue().splitlines() == [
+        "campaign,key," + ",".join(columns),
+        "alpha,a,none,1,0,1.0,1.0,0.0,1.0,1",
+        "alpha,b,none,1,0,2.0,2.0,0.0,2.0,2",
+        "beta,c,none,1,0,3.0,3.0,0.0,3.0,3",
+    ]
 
 
 def test_exported_jsonl_lines_byte_identical_to_store(tmp_path):
     records = [make_record("a", 1), make_record("b", 2)]
     store = make_store(str(tmp_path / "camp"), records)
     sink = io.StringIO()
-    export_jsonl(iter_merged_records([store]), sink)
+    export_jsonl([store], sink)
     expected = "".join(encode_line(r) + "\n" for r in records)
     assert sink.getvalue() == expected
     # And they parse back to the exact records.

@@ -121,6 +121,10 @@ class TestWorkerStreams:
         assert (tmp_path / "results.jsonl").read_bytes() == before
 
     def test_save_record_requires_key(self, tmp_path):
+        """The writer refuses every line the readers treat as garbage."""
         store = ResultStore(str(tmp_path))
-        with pytest.raises(ValueError):
-            store.save_record({"row": {}})
+        for record in ({"row": {}}, {"key": "", "row": {}},
+                       {"key": 7, "row": {}}, {"key": ["x"], "row": {}}):
+            with pytest.raises(ValueError):
+                store.save_record(record)
+        assert not (tmp_path / "results.jsonl").exists()

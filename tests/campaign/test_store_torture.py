@@ -9,8 +9,10 @@ other layer (executor resume, cross-campaign dedup, gc) builds on:
 
 * a reader never invents data — every loaded record byte-matches one
   that was written, no matter where a crash cut the file;
-* the last complete write per key wins;
-* any index/row divergence is repaired by ``gc --apply`` (rebuild);
+* the last complete write per key wins, and every reader (store, gc
+  survey, streaming merge, index) agrees on which lines are records;
+* any index/row divergence is repaired by ``gc --apply`` (rebuild), and
+  the dry run reports it exactly;
 * exported JSONL rows are byte-identical to store lines (lossless).
 """
 
@@ -21,11 +23,14 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.gc import export_jsonl, gc_root, load_records, merged_records
-from repro.campaign.index import StoreIndex, iter_jsonl
+from repro.campaign.gc import export_jsonl, gc_root, summarize
+from repro.campaign.index import StoreIndex
+from repro.campaign.rows import iter_campaign_records, iter_merged_records
 from repro.campaign.store import (
     ResultStore,
     encode_line,
+    iter_jsonl,
+    record_key,
     worker_results_file,
 )
 
@@ -178,7 +183,9 @@ line_kinds = st.one_of(
     st.tuples(st.just("record"), pool_keys, values),
     st.tuples(st.just("garbage"),
               st.sampled_from(["not json at all", "[1, 2, 3]", "42",
-                               '"just a string"', "{\"no\": \"key\"}"]),
+                               '"just a string"', "{\"no\": \"key\"}",
+                               '{"key": ["x"]}', '{"key": {"k": 1}}',
+                               '{"key": 7}', '{"key": ""}']),
               st.just(0)),
     st.tuples(st.just("blank"), st.just(""), st.just(0)),
 )
@@ -202,13 +209,26 @@ def test_interleaved_garbage_and_torn_tail_are_ignored(parts, torn_tail):
             lines.append("\n")
     if torn_tail:
         lines.append('{"key": "torn-wr')  # interrupted append, no newline
-    with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "results.jsonl")
-        write_lines(path, lines)
+    with tempfile.TemporaryDirectory() as root:
+        directory = os.path.join(root, "camp")
+        os.makedirs(directory)
+        write_lines(os.path.join(directory, "results.jsonl"), lines)
         store = ResultStore(directory)
         assert set(store.keys()) == set(expected)
         for key, value in expected.items():
             assert store.get(key)["total_switches"] == value
+        # Every reader agrees on which lines are records.
+        records = sum(1 for kind, _p, _v in parts if kind == "record")
+        summary = summarize(directory)
+        assert summary.stored == len(expected)
+        assert summary.superseded == records - len(expected)
+        assert summary.torn == len(parts) - records + torn_tail
+        assert {key for key, _r in iter_campaign_records(directory)} == (
+            set(expected)
+        )
+        index = StoreIndex(root)
+        index.refresh()
+        assert set(index.keys()) == set(expected)
 
 
 @given(
@@ -261,13 +281,40 @@ def test_worker_streams_merge_and_reconcile_losslessly(shards):
                 for k in reopened.keys()} == expected
 
 
+def test_reconcile_splits_lines_like_every_reader():
+    """A bare carriage return is JSON whitespace, not a line break: the
+    store reads such a worker-stream line as a record, so reconcile must
+    fold it (and every line after it) verbatim instead of dropping the
+    stream."""
+    lines = ['{"key":"a",\r"row":{}}\n', encode_line({"key": "b"}) + "\n"]
+    with tempfile.TemporaryDirectory() as directory:
+        write_lines(os.path.join(directory, worker_results_file(1)), lines)
+        assert set(ResultStore(directory).keys()) == {"a", "b"}
+        assert ResultStore(directory).reconcile() == 2
+        with open(os.path.join(directory, "results.jsonl"), newline="") as f:
+            assert f.read() == "".join(lines)
+        assert set(ResultStore(directory).keys()) == {"a", "b"}
+
+
 corruptions = st.lists(
     st.sampled_from(
         ["shift_offsets", "wrong_campaign", "drop_index", "bogus_entry",
-         "compact_rows", "append_unindexed", "truncate_index"]
+         "compact_rows", "append_unindexed", "truncate_index",
+         "mistyped_lines"]
     ),
     min_size=1, max_size=4,
 )
+
+
+def mistyped_index_lines(key):
+    """Well-formed JSON index lines whose fields have the wrong types."""
+    return [
+        json.dumps({"campaign": "a", "key": ["x"], "offset": 0}) + "\n",
+        json.dumps({"campaign": "a", "key": key, "offset": "0"}) + "\n",
+        json.dumps({"campaign": "a", "key": key, "offset": 1.5}) + "\n",
+        json.dumps({"campaign": 7, "key": key, "offset": 0}) + "\n",
+        json.dumps({"campaign": "a", "scanned": "12"}) + "\n",
+    ]
 
 
 @given(
@@ -299,7 +346,7 @@ def test_index_row_divergence_always_repaired_by_gc(keys_a, keys_b, ops):
             if op == "shift_offsets" and present:
                 lines = []
                 for _b, _e, rec in iter_jsonl(index_path):
-                    if rec and "offset" in rec:
+                    if rec and isinstance(rec.get("offset"), int):
                         rec["offset"] += 3
                     if rec:
                         lines.append(json.dumps(rec) + "\n")
@@ -337,19 +384,36 @@ def test_index_row_divergence_always_repaired_by_gc(keys_a, keys_b, ops):
                     size = os.path.getsize(index_path)
                     with open(index_path, "rb+") as handle:
                         handle.truncate(size // 2)
+            elif op == "mistyped_lines":
+                with open(index_path, "a") as handle:
+                    for line in mistyped_index_lines(keys_a[0]):
+                        handle.write(line)
             if not os.path.exists(index_path):
                 continue
-            # Diverged index: lookups may miss, but never lie.
+            # Diverged index: lookups may miss, but never lie, and a
+            # refresh over it never fails.
             diverged = StoreIndex(root)
             for key in diverged.keys():
                 record = diverged.lookup(key)
                 assert record is None or record["key"] == key
+            diverged.refresh(persist=False)
+        if os.path.exists(index_path):
+            # The dry run reports the divergence exactly: every entry
+            # that does not verify, and every main-stream key unindexed.
+            plan = gc_root(root)
+            index = StoreIndex(root)
+            assert plan.index_stale == len(index.stale_keys())
+            assert plan.index_missing == sum(
+                len({record_key(record) for _b, _e, record in iter_jsonl(
+                    os.path.join(root, name, "results.jsonl"))}
+                    - {None} - set(index.keys()))
+                for name in ("a", "b")
+            )
         gc_root(root, apply=True)
         repaired = StoreIndex(root)
         stored = set()
         for name in ("a", "b"):
-            records, _stats = load_records(os.path.join(root, name))
-            stored |= set(records)
+            stored |= set(ResultStore(os.path.join(root, name)).keys())
         assert set(repaired.keys()) >= stored
         for key in stored:
             assert repaired.lookup(key)["key"] == key
@@ -375,7 +439,7 @@ def test_export_jsonl_rows_round_trip_byte_identically(spread):
             os.makedirs(directory)
             write_lines(os.path.join(directory, "results.jsonl"), lines)
         dirs = [os.path.join(root, n) for n in sorted(per_dir)]
-        merged = merged_records(dirs)
+        merged = {key: record for _c, key, record in iter_merged_records(dirs)}
 
         class Sink:
             def __init__(self):
@@ -385,7 +449,7 @@ def test_export_jsonl_rows_round_trip_byte_identically(spread):
                 self.chunks.append(chunk)
 
         sink = Sink()
-        count = export_jsonl(merged, sink)
+        count = export_jsonl(dirs, sink)
         exported = "".join(sink.chunks).splitlines()
         assert count == len(merged) == len(exported)
         # Byte-identity: every exported line is exactly a store line.
@@ -396,6 +460,4 @@ def test_export_jsonl_rows_round_trip_byte_identically(spread):
         assert set(exported) <= store_lines
         # Losslessness: parsing the export reproduces the merged records.
         assert {json.loads(line)["key"]: json.loads(line)
-                for line in exported} == {
-                    key: record for key, (_c, record) in merged.items()
-                }
+                for line in exported} == merged

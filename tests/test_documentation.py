@@ -2,12 +2,18 @@
 
 The deliverable includes "doc comments on every public item"; this test
 walks the installed package and enforces it: every module, every public
-class and every public function/method carries a docstring.
+class and every public function/method carries a docstring.  Names the
+docs point at must exist too: every Sphinx-role reference to ``repro.…``
+in the source and every backticked ``repro.…`` name in README.md and
+docs/*.md imports and resolves, so a deleted function cannot leave a
+stale reference behind.
 """
 
 import importlib
 import inspect
+import os
 import pkgutil
+import re
 
 import pytest
 
@@ -77,6 +83,54 @@ def test_public_function_documented(fn):
     assert fn.__doc__ and fn.__doc__.strip(), (
         "function {} lacks a docstring".format(fn.__qualname__)
     )
+
+
+#: ``:func:`repro.x.y``` and ``:meth:`~repro.x.Y.z``` style references.
+_ROLE_REF = re.compile(
+    r":(?:func|class|meth|mod|attr|data):`~?(repro(?:\.\w+)+)`"
+)
+#: A whole backticked dotted name in Markdown, e.g. `repro.campaign.rows`.
+_MARKDOWN_REF = re.compile(r"`(repro(?:\.\w+)+)`")
+
+
+def _unresolved(name):
+    """None when dotted ``name`` imports and resolves, else the reason."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(target, attr):
+                return "{!r} has no attribute {!r}".format(target, attr)
+            target = getattr(target, attr)
+        return None
+    return "no importable module prefix"
+
+
+def test_source_references_resolve():
+    unresolved = []
+    for module in MODULES:
+        for name in _ROLE_REF.findall(inspect.getsource(module)):
+            reason = _unresolved(name)
+            if reason:
+                unresolved.append((module.__name__, name, reason))
+    assert not unresolved, unresolved
+
+
+def test_markdown_references_resolve():
+    checker = _load_link_checker()
+    unresolved = []
+    for path in checker.doc_files():
+        with open(path) as handle:
+            names = _MARKDOWN_REF.findall(handle.read())
+        for name in names:
+            reason = _unresolved(name)
+            if reason:
+                where = os.path.relpath(path, checker.REPO_ROOT)
+                unresolved.append((where, name, reason))
+    assert not unresolved, unresolved
 
 
 def _load_link_checker():
