@@ -135,7 +135,6 @@ def test_markdown_references_resolve():
 
 def _load_link_checker():
     import importlib.util
-    import os
 
     path = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -148,8 +147,6 @@ def _load_link_checker():
 
 
 def test_docs_exist():
-    import os
-
     checker = _load_link_checker()
     names = {os.path.relpath(p, checker.REPO_ROOT)
              for p in checker.doc_files()}
