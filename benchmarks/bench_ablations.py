@@ -1,7 +1,10 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the reproduction's load-bearing design choices.
 
 These are not paper tables; they probe the knobs this reproduction (and the
-paper's discussion section) identify as load-bearing:
+paper's discussion section) identify as load-bearing.  The calibration they
+perturb is documented in
+:func:`repro.app.workloads.spec.fork_join_spec`'s docstring, and the
+platform's layering in ``docs/architecture.md``:
 
 * **Initial mapping** — random (paper) vs exactly-balanced vs clustered
   floorplan: how much of the adaptive models' advantage is census repair?

@@ -12,8 +12,10 @@ allocation and fault recovery.  Quickstart:
 >>> series = platform.run()       # doctest: +SKIP
 >>> series.active_nodes[-1]       # doctest: +SKIP
 
-See README.md for the architecture overview and EXPERIMENTS.md for the
-paper-versus-measured record.
+See README.md for the architecture overview and docs/architecture.md
+for the contracts.  The paper's qualitative claims are checked at paper
+scale by ``benchmarks/bench_table1.py``, ``bench_table2.py`` and
+``bench_figure4.py``; ``tests/experiments/golden/`` pins the rows.
 """
 
 from repro.platform.centurion import CenturionPlatform

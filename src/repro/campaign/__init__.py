@@ -144,6 +144,18 @@ conserving every pre-workload key byte for byte; within the entry the
 canonical-optional rule recurses once more (``per_task_series`` on the
 spec, ``service_dist``/``service_spread`` per task join only when set),
 so specs written before those fields existed keep their keys too.
+
+Each config is encoded once.  The key hashes ``{"config":`` followed by
+:attr:`~repro.platform.config.PlatformConfig.canonical_json` (the
+canonical dict as compact sorted-key JSON, memoised on the config
+instance) and then the rest of the payload, encoded per cell.  Those
+bytes equal ``json.dumps`` of the whole payload only while ``config``
+is the first payload key in sorted order, so a new payload key must
+sort after it.  The memo lives on the instance and is never keyed by
+value: ``PlatformConfig(flit_time_us=1.0)`` compares and hashes equal
+to ``PlatformConfig()`` (``1.0 == 1``) yet encodes ``1.0`` and mints a
+different key, so a cache keyed by config would hand one config the
+other's key.
 """
 
 from repro.campaign.client import CampaignClient, CampaignStatus, ServeError

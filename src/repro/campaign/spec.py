@@ -91,13 +91,17 @@ class RunDescriptor:
             "seed": self.seed,
             "faults": self.faults,
             "metric": self.metric,
-            "config": self.config.canonical(),
         }
         if self.scenario is not None:
             payload["scenario"] = self.scenario.canonical()
         if self.workload is not None:
             payload["workload"] = self.workload.canonical()
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        # The blob is json.dumps of the payload with its "config" entry,
+        # sorted and compact.  "config" sorts before every other key, so
+        # the config's memoised JSON opens the blob and only this cell's
+        # entries are encoded here.
+        tail = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        blob = '{"config":' + self.config.canonical_json + "," + tail[1:]
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def job(self):

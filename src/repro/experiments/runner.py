@@ -239,8 +239,11 @@ def default_processes():
 def iter_runs(jobs, processes=None, chunksize=None):
     """Yield ``run_single`` results for job tuples, in job order.
 
-    Each job is ``(model, seed, faults, config, metric, keep_series)``.
-    ``processes``: ``None``/0/1 runs sequentially; larger values shard
+    Each job is a positional :func:`run_single` argument tuple,
+    ``(model, seed, faults, config, metric, keep_series, scenario,
+    workload)`` as :meth:`repro.campaign.spec.RunDescriptor.job` builds
+    it; trailing arguments may be left off (:func:`run_batch` passes the
+    first six).  ``processes``:``None``/0/1 runs sequentially; larger values shard
     the jobs across a multiprocessing pool with chunked ``imap`` —
     results stream back in order without materialising the whole sweep
     in the pool at once, so callers can checkpoint as cells finish.

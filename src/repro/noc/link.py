@@ -126,8 +126,9 @@ class Link:
         """Fraction of time spent transferring, measured up to ``now``."""
         if now <= 0:
             return 0.0
-        busy = min(self.busy_until, now) if self.flits_carried else 0
-        # Approximation: flits_carried * flit_time is the exact busy time.
+        # Approximate: every carried flit is priced at the *current* flit
+        # time, which differs from the time it was carried at once
+        # degrade() or restore_timing() has changed it.
         return min(1.0, self.flits_carried * self.flit_time / now)
 
     def __repr__(self):

@@ -4,10 +4,15 @@ One frozen dataclass carries every tunable of the reproduction, grouped by
 subsystem.  Defaults are the calibrated Centurion-V6 values: the paper's
 explicit parameters (8×16 grid, 4 ms task-1 period, 20 ms FFW timeout,
 500 ms fault injection, 1000 ms horizon) plus this reproduction's service
-times and NoC timings (documented in DESIGN.md).
+times and NoC timings.  The service-time calibration is documented in
+:func:`repro.app.workloads.spec.fork_join_spec`'s docstring; how the
+config feeds the platform and the campaign cell keys is in
+``docs/architecture.md``.
 """
 
 import dataclasses
+import functools
+import json
 
 from repro.app.workloads.policies import MAPPING_POLICIES, RECOVERY_REMAPS
 from repro.node.dvfs import MAX_FREQUENCY_MHZ, MIN_FREQUENCY_MHZ
@@ -175,13 +180,34 @@ class PlatformConfig:
 
         Every v1 field appears whether defaulted or not; post-v1 fields
         (see :attr:`_CANONICAL_OPTIONAL`) join only when changed from
-        their default, keeping pre-existing campaign keys stable.
+        their default, keeping pre-existing campaign keys stable.  The
+        dict is built once per instance; each call returns a copy.
         """
+        return dict(self._canonical)
+
+    @functools.cached_property
+    def _canonical(self):
         data = dataclasses.asdict(self)
         for name in self._CANONICAL_OPTIONAL:
             if data[name] == _FIELD_DEFAULTS[name]:
                 del data[name]
         return data
+
+    @functools.cached_property
+    def canonical_json(self):
+        """:meth:`canonical` as compact sorted-key JSON, the exact bytes
+        a campaign cell key hashes for this config.
+
+        Memoised on this instance, never by value: equal configs can
+        encode differently (``PlatformConfig(flit_time_us=1.0)`` compares
+        and hashes equal to ``PlatformConfig()`` since ``1.0 == 1``, yet
+        encodes ``1.0``), so a cache keyed by config would hand one the
+        other's key.  The instance is frozen, so the memo never goes
+        stale, and :meth:`replace` builds a new instance with none.
+        """
+        return json.dumps(
+            self._canonical, sort_keys=True, separators=(",", ":")
+        )
 
     @classmethod
     def small(cls, **changes):

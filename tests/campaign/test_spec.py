@@ -5,11 +5,19 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.app.workloads import load_workload
 from repro.campaign.spec import CampaignSpec, HASH_SCHEMA_VERSION, RunDescriptor
+from repro.core.models.registry import resolve_model_name
 from repro.platform.config import PlatformConfig
 
-from tests.integration.test_fault_v2_determinism import _v1_config_dict
+from tests.integration.test_fault_v2_determinism import (
+    V1_CONFIG_FIELDS,
+    V1_SCENARIO,
+    _v1_config_dict,
+)
 
 
 @pytest.fixture
@@ -322,3 +330,105 @@ class TestDescriptorKeys:
         assert descriptor.job() == (
             "none", 3, 2, small, "joins", True, None, None
         )
+
+
+def _recipe_key(descriptor):
+    """The cell-key recipe spelled out: SHA-256 of the whole payload as
+    compact sorted-key JSON, with every v1 config field and the post-v1
+    ones only when they differ from their defaults."""
+    config = descriptor.config
+    payload = {
+        "schema": HASH_SCHEMA_VERSION,
+        "model": resolve_model_name(descriptor.model),
+        "seed": descriptor.seed,
+        "faults": descriptor.faults,
+        "metric": descriptor.metric,
+        "config": {
+            field.name: getattr(config, field.name)
+            for field in dataclasses.fields(PlatformConfig)
+            if field.name in V1_CONFIG_FIELDS
+            or getattr(config, field.name) != field.default
+        },
+    }
+    if descriptor.scenario is not None:
+        payload["scenario"] = descriptor.scenario.canonical()
+    if descriptor.workload is not None:
+        payload["workload"] = descriptor.workload.canonical()
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+#: Config values that compare equal across int, float and bool but encode
+#: differently, on v1 and canonical-optional fields alike.
+_LOOKALIKES = {
+    "flit_time_us": (1, 1.0, True, 2),
+    "fast_path": (True, False, 1, 0),
+    "multicast_fork": (False, True, 0, 0.0),
+    "service_jitter": (0.1, 0, 0.0, 1),
+    "queue_capacity": (6, 6.0),
+    "dvfs_governor": ("none", "hysteresis"),
+    "governor_hot_c": (70.0, 70, 80.5),
+    "governor_throttle_mhz": (50, 50.0),
+    "watchdog_recovery": (False, True, 0, 1),
+}
+
+_configs = st.tuples(
+    st.sampled_from((PlatformConfig, PlatformConfig.small)),
+    st.fixed_dictionaries({}, optional={
+        name: st.sampled_from(values) for name, values in _LOOKALIKES.items()
+    }),
+).map(lambda drawn: drawn[0](**drawn[1]))
+
+_descriptors = st.builds(
+    RunDescriptor,
+    model=st.sampled_from(("none", "ni", "ffw", "foraging_for_work")),
+    seed=st.integers(0, 2**31),
+    faults=st.integers(0, 64),
+    config=_configs,
+    metric=st.sampled_from(("joins", "executions", "active_nodes")),
+    scenario=st.sampled_from((None, V1_SCENARIO)),
+    workload=st.sampled_from((None, "fork_join", "pipeline3")).map(
+        lambda name: name and load_workload(name)
+    ),
+)
+
+
+class TestKeyRecipe:
+    """``key()`` hashes each config's memoised JSON plus a per-cell tail;
+    the bytes must equal the recipe spelled out over the whole payload."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_descriptors, min_size=1, max_size=4))
+    def test_key_equals_the_spelled_out_recipe(self, descriptors):
+        expected = [_recipe_key(d) for d in descriptors]
+        assert [d.key() for d in descriptors] == expected
+        # Second pass: every config's memo is warm now.
+        assert [d.key() for d in descriptors] == expected
+
+    def test_lookalike_configs_keep_distinct_keys_once_memoised(self):
+        lookalike = PlatformConfig(flit_time_us=1.0)
+        default = PlatformConfig()
+        assert lookalike == default and hash(lookalike) == hash(default)
+        first = [RunDescriptor("none", 1, 0, c).key()
+                 for c in (lookalike, default)]
+        again = [RunDescriptor("none", 1, 0, c).key()
+                 for c in (default, lookalike)]
+        assert first[0] != first[1]
+        assert again == first[::-1]
+        assert first[1] == _recipe_key(RunDescriptor("none", 1, 0, default))
+
+    def test_replace_rekeys_a_memoised_config(self, small):
+        before = RunDescriptor("none", 1, 0, small).key()
+        slower = small.replace(flit_time_us=2)
+        cell = RunDescriptor("none", 1, 0, slower)
+        assert cell.key() == _recipe_key(cell) != before
+        back = slower.replace(flit_time_us=small.flit_time_us)
+        assert RunDescriptor("none", 1, 0, back).key() == before
+
+    def test_canonical_hands_out_copies(self, small):
+        key = RunDescriptor("none", 1, 0, small).key()
+        small.canonical()["width"] = 99
+        _spec(config=small).to_dict()["config"]["fast_path"] = False
+        assert small.canonical()["width"] == small.width
+        assert RunDescriptor("none", 1, 0, small).key() == key
+

@@ -6,7 +6,8 @@ class and every public function/method carries a docstring.  Names the
 docs point at must exist too: every Sphinx-role reference to ``repro.…``
 in the source and every backticked ``repro.…`` name in README.md and
 docs/*.md imports and resolves, so a deleted function cannot leave a
-stale reference behind.
+stale reference behind.  Every markdown file a source file under
+``src/`` or ``benchmarks/`` names must exist.
 """
 
 import importlib
@@ -161,3 +162,20 @@ def test_docs_relative_links_resolve():
         for path in checker.doc_files()
     }
     assert all(not missing for missing in dangling.values()), dangling
+
+
+def test_source_markdown_names_exist():
+    checker = _load_link_checker()
+    sources = checker.source_files()
+    assert os.path.join(
+        checker.REPO_ROOT, "src", "repro", "platform", "config.py"
+    ) in sources
+    missing = {path: checker.missing_markdown(path) for path in sources}
+    assert all(not names for names in missing.values()), missing
+
+
+def test_missing_markdown_flags_a_dangling_name(tmp_path):
+    checker = _load_link_checker()
+    source = tmp_path / "module.py"
+    source.write_text('"""See DESIGN.md and README.md."""\n')
+    assert checker.missing_markdown(str(source)) == ["DESIGN.md"]
