@@ -243,10 +243,11 @@ def iter_runs(jobs, processes=None, chunksize=None):
     ``(model, seed, faults, config, metric, keep_series, scenario,
     workload)`` as :meth:`repro.campaign.spec.RunDescriptor.job` builds
     it; trailing arguments may be left off (:func:`run_batch` passes the
-    first six).  ``processes``:``None``/0/1 runs sequentially; larger values shard
-    the jobs across a multiprocessing pool with chunked ``imap`` —
-    results stream back in order without materialising the whole sweep
-    in the pool at once, so callers can checkpoint as cells finish.
+    first six).  ``processes``: ``None``/0/1 runs sequentially; larger
+    values shard the jobs across a multiprocessing pool with chunked
+    ``imap`` — results stream back in order without materialising the
+    whole sweep in the pool at once, so callers can checkpoint as cells
+    finish.
     Failures surface as :class:`RunError` with the cell context.
     """
     if processes is None:

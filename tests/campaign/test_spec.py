@@ -431,4 +431,3 @@ class TestKeyRecipe:
         _spec(config=small).to_dict()["config"]["fast_path"] = False
         assert small.canonical()["width"] == small.width
         assert RunDescriptor("none", 1, 0, small).key() == key
-

@@ -1,5 +1,5 @@
-"""Docs link check: every relative markdown link and every markdown file
-a source docstring names must resolve.
+"""Docs link check: every relative markdown link, and every markdown file
+named in a ``src/`` or ``benchmarks/`` docstring or string, must resolve.
 
 Scans ``README.md`` and every ``docs/*.md`` for markdown links
 (``[text](target)``), skips external schemes (``http://``, ``https://``,
@@ -83,7 +83,7 @@ def source_files():
 def missing_markdown(path):
     """The ``*.md`` names in one Python file's string literals that exist
     neither under the repo root nor next to the file."""
-    with open(path) as handle:
+    with open(path, "rb") as handle:
         tree = ast.parse(handle.read(), path)
     bases = (REPO_ROOT, os.path.dirname(path))
     missing = []
