@@ -358,8 +358,9 @@ def _recipe_key(descriptor):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-#: Config values that compare equal across int, float and bool but encode
-#: differently, on v1 and canonical-optional fields alike.
+#: Config values the key property draws: int/float/bool look-alikes that
+#: compare equal but encode differently, on v1 and canonical-optional
+#: fields alike, plus a governor that joins the canonical dict.
 _LOOKALIKES = {
     "flit_time_us": (1, 1.0, True, 2),
     "fast_path": (True, False, 1, 0),
