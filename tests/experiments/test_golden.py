@@ -2,12 +2,12 @@
 
 The determinism tests prove runs repeat bit-identically *within* one
 code version; this suite pins the actual numbers *across* versions.
-Table I rows, Table II rows, one Figure 4 panel and two config-only
-fork-join variants (multicast fork, fork width 4) are computed at a
-fixed seed set on the small platform and compared, value for value,
-against JSON files checked into ``tests/experiments/golden/`` — a
-refactor that silently drifts any paper output fails here even if it is
-self-consistent.
+Table I rows, Table II rows, one Figure 4 panel, two config-only
+fork-join variants (multicast fork, fork width 4) and a hop-engine cell
+matrix are computed at fixed seeds on the small platform and compared,
+value for value, against JSON files checked into
+``tests/experiments/golden/`` — a refactor that silently drifts any
+paper output fails here even if it is self-consistent.
 
 To refresh after an *intentional* behaviour change::
 
@@ -22,9 +22,12 @@ import os
 
 import pytest
 
+from repro.app.workloads import fork_join_spec
+from repro.core.models.registry import MODEL_REGISTRY
 from repro.experiments.runner import run_batch, run_single
 from repro.experiments.tables import table1_from_runs, table2_from_runs
 from repro.platform.config import PlatformConfig
+from repro.platform.scenario import FaultScenario
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -113,6 +116,71 @@ def test_fork_join_variant_rows_match_golden(update_golden):
                 "app_stats": result.app_stats,
             }
     check_golden("fork_join_variants", payload, update_golden)
+
+
+#: Shortened small platform of the hop-engine matrix: long enough to
+#: settle, inject faults and recover.
+HOP_CONFIG = PlatformConfig.small(horizon_us=120_000, fault_time_us=60_000)
+
+#: Thermal storm, transient node failure and deadlock pressure under the
+#: hysteresis governor and the watchdog: the dynamics cell of the matrix.
+HOP_DYNAMICS = FaultScenario.from_dict({
+    "name": "closed-loop",
+    "events": [
+        {"kind": "thermal_storm", "at_us": 30_000, "count": 4,
+         "heat_c": 40.0},
+        {"kind": "node", "at_us": 40_000, "count": 1,
+         "duration_us": 60_000},
+        {"kind": "deadlock_pressure", "at_us": 50_000, "count": 2,
+         "wait_limit_us": 100, "duration_us": 30_000},
+    ],
+})
+
+
+def _hop_engine_cells():
+    """name -> ``run_single`` arguments of the hop-engine matrix."""
+    cells = {}
+    for model in sorted(MODEL_REGISTRY):
+        for seed, faults in ((11, 0), (12, 0), (11, 5)):
+            cells["{}/{}/{}".format(model, seed, faults)] = dict(
+                model_name=model, seed=seed, faults=faults
+            )
+    cells["adaptive"] = dict(
+        model_name="foraging_for_work", seed=13, faults=3,
+        config=HOP_CONFIG.replace(routing_mode="adaptive"),
+    )
+    cells["multicast"] = dict(
+        model_name="network_interaction", seed=14, faults=2,
+        config=HOP_CONFIG.replace(multicast_fork=True),
+    )
+    cells["dynamics"] = dict(
+        model_name="ffw", seed=7, scenario=HOP_DYNAMICS,
+        config=HOP_CONFIG.replace(
+            dvfs_governor="hysteresis",
+            watchdog_recovery=True,
+            watchdog_timeout_us=20_000,
+        ),
+    )
+    cells["fork_join_spec"] = dict(
+        model_name="ffw", seed=7, faults=3, workload=fork_join_spec()
+    )
+    return cells
+
+
+def test_hop_engine_cells_match_golden(update_golden):
+    """Rows, NoC counters and application stats of every model with and
+    without faults, plus adaptive-routing, multicast, dynamics and
+    declared-workload cells: the per-hop packet engine's outputs."""
+    payload = {}
+    for name, cell in _hop_engine_cells().items():
+        cell.setdefault("config", HOP_CONFIG)
+        result = run_single(keep_series=False, **cell)
+        payload[name] = {
+            "row": result.as_row(),
+            "noc_stats": result.noc_stats,
+            "app_stats": result.app_stats,
+        }
+    check_golden("hop_engine_cells", payload, update_golden)
 
 
 def test_figure4_panel_matches_golden(update_golden):
