@@ -179,3 +179,32 @@ def test_missing_markdown_flags_a_dangling_name(tmp_path):
     source = tmp_path / "module.py"
     source.write_text('"""See DESIGN.md and README.md."""\n')
     assert checker.missing_markdown(str(source)) == ["DESIGN.md"]
+
+
+def test_python_paths_exist():
+    checker = _load_link_checker()
+    paths = checker.doc_files() + checker.source_files(
+        checker.PY_SOURCE_TREES
+    )
+    assert os.path.join(
+        checker.REPO_ROOT, "tests", "test_documentation.py"
+    ) in paths
+    missing = {path: checker.missing_python(path) for path in paths}
+    assert all(not names for names in missing.values()), missing
+
+
+def test_missing_python_flags_a_dangling_path(tmp_path):
+    checker = _load_link_checker()
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "real.py").write_text("")
+    # Spelled apart: this file's own literals are checked too.
+    real, gone = "/".join(("pkg", "real.py")), "/".join(("pkg", "gone.py"))
+    source = tmp_path / "module.py"
+    source.write_text(
+        '"""See {}, {}, tools/check_doc_links.py, repro/sim/engine.py '
+        'and conftest.py."""\n'.format(gone, real)
+    )
+    assert checker.missing_python(str(source)) == [gone]
+    doc = tmp_path / "notes.md"
+    doc.write_text("Run `{}`, not `{}`.\n".format(real, gone))
+    assert checker.missing_python(str(doc)) == [gone]

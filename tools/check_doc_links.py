@@ -1,5 +1,7 @@
-"""Docs link check: every relative markdown link, and every markdown file
-named in a ``src/`` or ``benchmarks/`` docstring or string, must resolve.
+"""Docs link check: every relative markdown link, every markdown file
+named in a ``src/`` or ``benchmarks/`` docstring or string, and every
+Python file named by path in the docs or a ``src/``, ``benchmarks/`` or
+``tests/`` string, must resolve.
 
 Scans ``README.md`` and every ``docs/*.md`` for markdown links
 (``[text](target)``), skips external schemes (``http://``, ``https://``,
@@ -8,9 +10,13 @@ remaining target exists relative to the file that links it (dropping any
 ``#fragment``).  Then scans the string literals (docstrings included) of
 every ``*.py`` file under ``src/`` and ``benchmarks/`` for ``*.md`` file
 names and verifies each exists relative to the repo root or to the
-naming file's directory.  Exits non-zero listing every dangling link or
-name — wired into ``make lint`` so a moved file breaks the build, not
-the docs.
+naming file's directory.  Last, it scans the same docs' text and the
+string literals under ``src/``, ``benchmarks/`` and ``tests/`` for
+path-like ``*.py`` names (``tests/sim/test_engine.py``,
+``repro/noc/network.py`` — at least one ``/``) and verifies each exists
+relative to the repo root, to ``src/`` or to the naming file's
+directory.  Exits non-zero listing every dangling link or name — wired
+into ``make lint`` so a moved file breaks the build, not the docs.
 
 Standard library only; run as ``python tools/check_doc_links.py`` from
 the repo root (or anywhere — paths are anchored to this file).
@@ -35,6 +41,13 @@ MD_NAME_RE = re.compile(r"[\w./-]*\w\.md\b")
 
 #: Trees whose Python sources may name markdown files.
 SOURCE_TREES = ("src", "benchmarks")
+
+#: Python file names with a directory part: ``tests/sim/test_engine.py``,
+#: ``repro/noc/network.py``.  A bare ``conftest.py`` is not a path.
+PY_PATH_RE = re.compile(r"[\w./-]*/[\w.-]*\w\.py\b")
+
+#: Trees whose Python sources may name Python files by path.
+PY_SOURCE_TREES = SOURCE_TREES + ("tests",)
 
 
 def doc_files():
@@ -66,10 +79,10 @@ def dangling_links(path):
     return missing
 
 
-def source_files():
-    """Every ``*.py`` file under the :data:`SOURCE_TREES`."""
+def source_files(trees=SOURCE_TREES):
+    """Every ``*.py`` file under ``trees`` (default :data:`SOURCE_TREES`)."""
     paths = []
-    for tree in SOURCE_TREES:
+    for tree in trees:
         for directory, _dirs, names in sorted(
             os.walk(os.path.join(REPO_ROOT, tree))
         ):
@@ -80,22 +93,47 @@ def source_files():
     return paths
 
 
+def _string_names(path, pattern):
+    """Every match of ``pattern`` in one Python file's string literals."""
+    with open(path, "rb") as handle:
+        tree = ast.parse(handle.read(), path)
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.extend(pattern.findall(node.value))
+    return names
+
+
+def _missing(names, bases):
+    """The ``names`` that exist under none of the ``bases``."""
+    return [
+        name for name in names
+        if not any(os.path.exists(os.path.join(base, name))
+                   for base in bases)
+    ]
+
+
 def missing_markdown(path):
     """The ``*.md`` names in one Python file's string literals that exist
     neither under the repo root nor next to the file."""
-    with open(path, "rb") as handle:
-        tree = ast.parse(handle.read(), path)
-    bases = (REPO_ROOT, os.path.dirname(path))
-    missing = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            for name in MD_NAME_RE.findall(node.value):
-                if not any(
-                    os.path.exists(os.path.join(base, name))
-                    for base in bases
-                ):
-                    missing.append(name)
-    return missing
+    return _missing(
+        _string_names(path, MD_NAME_RE), (REPO_ROOT, os.path.dirname(path))
+    )
+
+
+def missing_python(path):
+    """The path-like ``*.py`` names in one markdown file's text, or one
+    Python file's string literals, that exist neither under the repo
+    root, under ``src/``, nor next to the file."""
+    if path.endswith(".md"):
+        with open(path) as handle:
+            names = PY_PATH_RE.findall(handle.read())
+    else:
+        names = _string_names(path, PY_PATH_RE)
+    return _missing(
+        names,
+        (REPO_ROOT, os.path.join(REPO_ROOT, "src"), os.path.dirname(path)),
+    )
 
 
 def main():
@@ -117,12 +155,18 @@ def main():
         for name in missing_markdown(path):
             print("{}: names missing {}".format(rel, name))
             failures += 1
+    py_sources = source_files(PY_SOURCE_TREES)
+    for path in files + py_sources:
+        rel = os.path.relpath(path, REPO_ROOT)
+        for name in missing_python(path):
+            print("{}: names missing {}".format(rel, name))
+            failures += 1
     if failures:
         print("{} dangling link(s) or name(s)".format(failures),
               file=sys.stderr)
         return 1
     print("docs links ok ({} docs, {} sources)".format(
-        len(files), len(sources)))
+        len(files), len(py_sources)))
     return 0
 
 
