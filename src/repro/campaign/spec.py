@@ -18,7 +18,7 @@ import json
 from repro.app.workloads import WorkloadSpec, load_workload
 from repro.core.models.registry import resolve_model_name
 from repro.experiments.runner import DEFAULT_METRIC, default_seeds
-from repro.platform.config import GOVERNORS, PlatformConfig
+from repro.platform.config import GOVERNORS, RETIRED_FIELDS, PlatformConfig
 from repro.platform.scenario import FaultScenario
 
 #: Bump to invalidate every stored result by hand (schema field of the
@@ -325,8 +325,10 @@ class CampaignSpec:
         absent, ``faults`` is an alias for ``fault_counts``, and
         ``base: "small"`` starts config overrides from
         :meth:`PlatformConfig.small` instead of the full platform.  A
-        retired ``config.timer_mode`` of ``"ticked"`` or ``"event"`` is
-        accepted and ignored; any other value raises ``ValueError``.
+        retired config field (see
+        :data:`~repro.platform.config.RETIRED_FIELDS`) is accepted and
+        dropped only at the value whose cell keys that conserves; any
+        other value raises ``ValueError`` naming the field.
         """
         data = dict(data)
         name = data.pop("name", None)
@@ -355,11 +357,17 @@ class CampaignSpec:
                 "faults", () if scenarios else (0,)
             )
         overrides = dict(data.pop("config", {}) or {})
-        # Legacy AIM timer knob: both modes were bit-identical, so a spec
-        # written while it existed loads with the field dropped.
-        timer_mode = overrides.pop("timer_mode", "ticked")
-        if timer_mode not in ("ticked", "event"):
-            raise ValueError("unknown timer mode {!r}".format(timer_mode))
+        for field, conserved in RETIRED_FIELDS.items():
+            if field not in overrides:
+                continue
+            value = overrides.pop(field)
+            # Rows stored under another value were keyed with it: loading
+            # that spec re-keyed would orphan them (and gc drop them).
+            if type(value) is not type(conserved) or value != conserved:
+                raise ValueError(
+                    "retired config field {!r} is accepted only as {!r}, "
+                    "not {!r}".format(field, conserved, value)
+                )
         base = data.pop("base", "default")
         if base == "small":
             config = PlatformConfig.small(**overrides)

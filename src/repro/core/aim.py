@@ -44,13 +44,12 @@ class AimTickBank:
             self._process.start()
 
     def _tick_all(self, _process):
-        # Dispatches straight to the models (one frame per node instead of
-        # three); mirrors the checks in ArtificialIntelligenceModule._on_tick.
+        # Dispatches straight to the models.  ``_ticking`` holds only
+        # while a model is uploaded and its node has not been shut down.
         now = self.sim.now
         for aim in self._aims:
-            model = aim.model
-            if aim._ticking and model is not None and not aim.pe.halted:
-                model.on_tick(aim, now)
+            if aim._ticking and not aim.pe.halted:
+                aim.model.on_tick(aim, now)
 
 
 class ArtificialIntelligenceModule:
@@ -65,16 +64,12 @@ class ArtificialIntelligenceModule:
         unmanaged node; a model can also be uploaded later through
         :meth:`upload_model`, like the Experiment Controller uploading
         PicoBlaze code).
-    tick_period_us:
-        Timer-tick period for the model's ``on_tick``.
     tick_bank:
-        Optional shared :class:`AimTickBank`.  When given, this AIM rides
-        the platform-wide tick event instead of owning a periodic process;
-        standalone AIMs (``None``) keep their own train.
+        The platform's shared :class:`AimTickBank`; its periodic event
+        drives the model's ``on_tick``.
     """
 
-    def __init__(self, sim, pe, router, network, model=None,
-                 tick_period_us=1000, tick_bank=None):
+    def __init__(self, sim, pe, router, network, tick_bank, model=None):
         self.sim = sim
         self.pe = pe
         self.router = router
@@ -84,14 +79,7 @@ class ArtificialIntelligenceModule:
         self.knobs = standard_knob_bank(pe, router)
         self.model = None
         self._ticking = False
-        if tick_bank is None:
-            self._tick = PeriodicProcess(
-                sim, tick_period_us, self._on_tick,
-                priority=sim.PRIORITY_SAMPLE,
-            )
-        else:
-            self._tick = None
-            tick_bank.register(self)
+        tick_bank.register(self)
         router.add_observer(self)
         pe.add_observer(self)
         if model is not None:
@@ -120,30 +108,21 @@ class ArtificialIntelligenceModule:
         if model is not None:
             model.bind(self)
             self.knobs["task_select"].reason = model.name
-            self._ticking = True
-            if self._tick is not None and not self._tick.running:
-                self._tick.start()
-        else:
-            self._ticking = False
-            if self._tick is not None:
-                self._tick.stop()
+        self._ticking = model is not None
 
     def shutdown(self):
         """Stop the timer tick (used when the node dies)."""
         self._ticking = False
-        if self._tick is not None:
-            self._tick.stop()
 
     def restart(self):
         """Resume the timer tick after node recovery.
 
-        Tick-bank AIMs just flip their gate back on (the shared train
-        never stopped); standalone AIMs restart their own process.  An
-        AIM with no model stays silent, exactly as at construction.
+        The AIM flips its gate back on (the shared train never stopped).
+        An AIM with no model stays silent, exactly as at construction.
 
         The model's :meth:`~repro.core.models.base.IntelligenceModel.
-        on_restart` hook runs first: a deadline armed before the fault is
-        stale evidence (the node's task and queues were wiped), so e.g. FFW
+        on_restart` hook runs before the next tick: a deadline armed
+        before the fault is stale evidence (the node's task and queues were wiped), so e.g. FFW
         disarms instead of firing an immediate switch against a pre-fault
         candidate.
         """
@@ -151,8 +130,6 @@ class ArtificialIntelligenceModule:
             return
         self._ticking = True
         self.model.on_restart(self)
-        if self._tick is not None and not self._tick.running:
-            self._tick.start()
 
     # -- router monitor relay ---------------------------------------------------
 
@@ -190,13 +167,6 @@ class ArtificialIntelligenceModule:
         """PE task-change monitor relay."""
         if self.model is not None and not pe.halted:
             self.model.on_task_changed(self, old, new)
-
-    # -- timer tick -----------------------------------------------------------------
-
-    def _on_tick(self, _process):
-        if self.model is None or self.pe.halted:
-            return
-        self.model.on_tick(self, self.sim.now)
 
     # -- knob helpers used by models ---------------------------------------------------
 

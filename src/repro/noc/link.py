@@ -9,10 +9,8 @@ head-of-line blocking that the intelligence models feel as congestion
 without simulating individual flits.
 
 Hot-path contract: ``busy_until`` is a public slot read directly by the
-express hop engine (:mod:`repro.noc.network`) and claims are made through
-:meth:`Link.transfer` parameterised by the *departure* time, never by the
-caller's wall position — this is what lets an inlined hop claim the channel
-with exactly the timing a scheduled hop event would have produced.
+hop engine (:mod:`repro.noc.network`) and claims are made through
+:meth:`Link.transfer` parameterised by the *departure* time.
 """
 
 
@@ -99,13 +97,11 @@ class Link:
         """Stretch the channel's flit time by ``factor`` (partial fault).
 
         The degraded timing is quantised to the integer microsecond
-        clock (floored at 1 µs) so hop arrival times stay integers and
-        the express hop engine's inline clock advance remains
-        bit-identical to event scheduling.  Claims already holding the
-        wire are unaffected; the slower timing applies from the next
-        :meth:`transfer` on.  The factor is always applied to the
-        *nominal* timing — calls do not stack; the link is a dumb
-        actuator and the
+        clock (floored at 1 µs) so hop arrival times stay integers.
+        Claims already holding the wire are unaffected; the slower timing
+        applies from the next :meth:`transfer` on.  The factor is always
+        applied to the *nominal* timing — calls do not stack; the link is
+        a dumb actuator and the
         :class:`~repro.platform.faults.FaultInjector` arbitrates
         overlapping degrade claims (worst active factor governs).
         """

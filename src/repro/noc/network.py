@@ -19,32 +19,13 @@ Task-addressed delivery works like this:
 4. delivery hands the packet to the ``deliver_handler`` installed by the
    platform (the processing element's internal port).
 
-Hot-path notes (the express hop engine)
----------------------------------------
-Simulating one heap event per packet per hop is the classic design but pays
-kernel overhead (handle allocation, heap push/pop, callback dispatch) on
-the hottest path of every table sweep.  The express engine collapses a
-multi-hop flight into a *single* scheduled event without changing a single
-observable bit:
-
-* the first hop of a flight is always a real event (``_arrive`` never walks
-  inline — the injector's enclosing callback, e.g. a PE completion emitting
-  several packets, must finish its own same-time work first);
-* the hop event callback (``_hop_walk``) processes its arrival and then
-  keeps walking subsequent hops *inline*, advancing the simulator clock
-  manually, for as long as :meth:`repro.sim.engine.Simulator.try_advance`
-  grants it the next hop time.  The gate holds exactly when no pending
-  event would dispatch at or before that time, in which case executing the
-  hop inline is indistinguishable from scheduling it — per-hop link claims,
-  router counters, observer notifications and model reactions all happen
-  at their exact hop timestamps, so FFW lateness arming, NI counting and
-  adaptive port choices are bit-identical with the express path on or off;
-* the gate is re-evaluated after every hop's side effects, so a model that
-  fires mid-flight (scheduling or cancelling events) automatically demotes
-  the rest of the flight to ordinary event scheduling;
-* mid-flight task switches and faults need no special epoch machinery: the
-  walker runs the same per-hop checks (failure, destination task, provider
-  re-resolution) as the event path, at the same simulated times.
+Hot-path notes
+--------------
+Every hop is one kernel event: ``_arrive`` processes a packet's arrival
+at a router and posts the next arrival through the handle-less
+:meth:`repro.sim.engine.Simulator.post_at`.  Per-hop link claims, router
+counters, observer notifications and model reactions therefore all
+happen at their exact hop timestamps, in kernel dispatch order.
 
 Per-hop lookups are precomputed: ``_hop_table[node][direction]`` holds the
 ``(neighbor, link, entry port)`` triple, replacing topology math, link dict
@@ -81,24 +62,19 @@ class Network:
     max_reroutes:
         How many times a packet may be re-resolved to a new provider before
         being dropped (guards against pathological switch storms).
-    fast_path:
-        Enable the express hop engine (see module docstring).  Results are
-        bit-identical either way; disabling it exists for A/B verification
-        and kernel debugging.
     trace:
         Optional :class:`repro.sim.trace.TraceRecorder`.
     """
 
     def __init__(self, sim, topology=None, flit_time=1, wire_latency=1,
                  router_config=None, deadlock_wait_limit=50_000,
-                 max_reroutes=8, fast_path=True, trace=None):
+                 max_reroutes=8, trace=None):
         self.sim = sim
         self.topology = topology if topology is not None else MeshTopology()
         self.policy = RoutingPolicy(self.topology)
         self.directory = ProviderDirectory(self.topology)
         self.deadlock = DeadlockRecovery(deadlock_wait_limit)
         self.max_reroutes = max_reroutes
-        self.fast_path = fast_path
         self.trace = trace
         # Per-category recorder shortcuts: the default sweeps disable the
         # per-packet categories, so the hot paths skip the record() call
@@ -146,10 +122,6 @@ class Network:
         #: dynamics-free run, which keeps the hot routing path on its
         #: historic branch (see ``_route_step``).
         self.deadlock_pressure = {}
-        #: Hops executed inline by the express engine (diagnostic only —
-        #: deliberately kept out of ``stats`` so fast/slow runs compare
-        #: equal on the experiment-facing counters).
-        self.express_hops = 0
         self.stats = {
             "sent": 0,
             "delivered": 0,
@@ -450,73 +422,38 @@ class Network:
 
     # -- hop engine ---------------------------------------------------------------------
 
-    def _arrive(self, packet, node, defer=None):
+    def _arrive(self, packet, node, in_port=None, defer=None):
         """Packet is at ``node``'s router at the current simulation time.
 
-        Injection entry point (send / multicast / redirect / requeue).  The
-        first hop is always scheduled as a real event: the caller's
+        Called directly on injection (send / multicast / redirect /
+        requeue, ``in_port`` unset) and as the hop-event callback on
+        every later arrival, where ``in_port`` is the port it came in
+        through.  The next hop is always a real event: the caller's
         enclosing callback may still have same-time work to do (a PE
         completion emitting several packets, a task switch requeueing a
-        buffer), so the walk must not advance the clock from here.  With
-        ``defer`` set, the hop event is appended to the list as a
-        ``(time, callback)`` pair instead of scheduled — used by multicast
-        to bulk-insert sibling first hops.
+        buffer).  With ``defer`` set, the hop event is appended to the
+        list as a ``(time, callback)`` pair instead of scheduled — used by
+        multicast to bulk-insert sibling first hops.
         """
         if not packet.in_flight:
             return
         if node in self.failed_nodes:
             self._drop(packet, PacketStatus.DROPPED_FAULT)
             return
+        if in_port is not None:
+            # Inlined Router.record_port(in_port, incoming=True).
+            self.routers[node].ports[in_port].packets_in += 1
         step = self._route_step(packet, node)
         if step is None:
             return
         neighbor, in_port, arrival_time = step
         callback = (
-            lambda p=packet, n=neighbor, d=in_port: self._hop_walk(p, n, d)
+            lambda p=packet, n=neighbor, d=in_port: self._arrive(p, n, d)
         )
         if defer is None:
             self.sim.post_at(arrival_time, callback)
         else:
             defer.append((arrival_time, callback))
-
-    def _hop_walk(self, packet, node, in_port):
-        """Hop-event callback: process this arrival, then walk while safe.
-
-        Each iteration is one router arrival: the same checks, counters and
-        routing decisions as the one-event-per-hop engine, at the same
-        simulated time.  Between hops the walker asks the kernel's
-        ``try_advance`` gate for the next arrival time; if anything else is
-        due first (including events just scheduled by an observer reacting
-        to *this* hop), the remainder of the flight is demoted to a real
-        event and dispatch order is preserved exactly.
-        """
-        sim = self.sim
-        fast_path = self.fast_path
-        routers = self.routers
-        failed = self.failed_nodes
-        while True:
-            if not packet.in_flight:
-                return
-            if node in failed:
-                self._drop(packet, PacketStatus.DROPPED_FAULT)
-                return
-            # Inlined Router.record_port(in_port, incoming=True).
-            routers[node].ports[in_port].packets_in += 1
-            step = self._route_step(packet, node)
-            if step is None:
-                return
-            neighbor, in_port, arrival_time = step
-            if fast_path and sim.try_advance(arrival_time):
-                self.express_hops += 1
-                node = neighbor
-                continue
-            sim.post_at(
-                arrival_time,
-                lambda p=packet, n=neighbor, d=in_port: self._hop_walk(
-                    p, n, d
-                ),
-            )
-            return
 
     def _route_step(self, packet, node):
         """One router's worth of forwarding work at the current time.

@@ -112,7 +112,6 @@ class CenturionPlatform:
             ),
             deadlock_wait_limit=self.config.deadlock_wait_limit_us,
             max_reroutes=self.config.max_reroutes,
-            fast_path=self.config.fast_path,
             trace=self.trace,
         )
         declared = workload is not None
@@ -156,7 +155,6 @@ class CenturionPlatform:
                 self.network.router(node_id),
                 self.network,
                 model=self._build_model(model_params),
-                tick_period_us=self.config.aim_tick_us,
                 tick_bank=self._aim_ticker,
             )
         # Bind delivery straight to the PE table (one frame per delivery).

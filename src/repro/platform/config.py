@@ -24,6 +24,20 @@ from repro.node.dvfs import MAX_FREQUENCY_MHZ, MIN_FREQUENCY_MHZ
 #: ``governor_cool_c`` and never changes faster than ``governor_dwell_us``.
 GOVERNORS = ("none", "threshold-throttle", "hysteresis")
 
+#: Retired config fields -> the one value at which a config without the
+#: field keeps its historic cell keys.  ``fast_path`` (the express hop
+#: engine's knob) was a v1 field, so every key hashed it and
+#: ``canonical()`` keeps emitting it at this value; ``timer_mode`` (the
+#: event-driven AIM timer's knob) was canonical-optional, never hashed at
+#: its ``"event"`` default.  ``CampaignSpec.from_dict`` drops a retired
+#: field only at this value and rejects any other (``1`` is not ``True``):
+#: rows stored under another value were keyed with it, and loading it as
+#: absent would re-key the spec and orphan them.
+RETIRED_FIELDS = {"fast_path": True, "timer_mode": "event"}
+
+#: The retired fields every cell key still hashes.
+_HASHED_RETIRED = ("fast_path",)
+
 
 @dataclasses.dataclass(frozen=True)
 class PlatformConfig:
@@ -44,10 +58,6 @@ class PlatformConfig:
     #: "xy" (the paper's evaluated heuristic) or "adaptive" (§V extension:
     #: congestion-aware minimal output-port selection).
     routing_mode: str = "xy"
-    #: Express hop engine: collapse multi-hop flights into single events
-    #: when provably safe (see repro.noc.network).  Bit-identical results
-    #: either way; the knob exists for A/B verification and debugging.
-    fast_path: bool = True
 
     # -- processing elements ----------------------------------------------------
     queue_capacity: int = 6
@@ -178,10 +188,11 @@ class PlatformConfig:
     def canonical(self):
         """Config dict for content hashing (campaign cell keys).
 
-        Every v1 field appears whether defaulted or not; post-v1 fields
-        (see :attr:`_CANONICAL_OPTIONAL`) join only when changed from
-        their default, keeping pre-existing campaign keys stable.  The
-        dict is built once per instance; each call returns a copy.
+        Every v1 field appears whether defaulted or not, a retired one at
+        its constant (see :data:`RETIRED_FIELDS`); post-v1 fields (see
+        :attr:`_CANONICAL_OPTIONAL`) join only when changed from their
+        default, keeping pre-existing campaign keys stable.  The dict is
+        built once per instance; each call returns a copy.
         """
         return dict(self._canonical)
 
@@ -191,6 +202,8 @@ class PlatformConfig:
         for name in self._CANONICAL_OPTIONAL:
             if data[name] == _FIELD_DEFAULTS[name]:
                 del data[name]
+        for name in _HASHED_RETIRED:
+            data[name] = RETIRED_FIELDS[name]
         return data
 
     @functools.cached_property

@@ -7,9 +7,10 @@ The :class:`Simulator` is a classic calendar-queue discrete-event kernel:
   timestamp break first by priority and then by insertion order — this
   makes runs reproducible;
 * ``run_until(horizon)`` pops and dispatches events until the queue is empty
-  or the horizon is passed;
+  or the horizon is passed — it is the only dispatch loop;
 * cancelling is done by tombstoning (the heap entry stays, the handle is
-  marked dead), which is O(1) and the standard trick from the heapq docs.
+  marked dead), which is O(1) and the standard trick from the heapq docs;
+  ``run_until`` is the only place that skips the dead entries.
 
 The kernel knows nothing about routers or ants; everything above it talks to
 it through :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`.
@@ -20,16 +21,14 @@ The kernel is the inner loop of every table sweep, so its design choices
 are performance-motivated:
 
 * heap entries are tuples of ints (plus trailing non-compared payload), so
-  every sift comparison runs in C without calling back into Python —
-  ``Event.__lt__`` exists only for compatibility and is never used by the
-  queue itself;
+  every sift comparison runs in C without calling back into Python;
 * ``run_until`` is a single fused pop-until-horizon loop: one ``heap[0]``
   peek plus one ``heappop`` per event, with no per-event method calls into
   the queue object;
 * :meth:`Simulator.post` / :meth:`Simulator.post_at` schedule fire-and-
   forget callbacks without allocating an :class:`Event` handle — used by
   the NoC hop engine and the PE service loop, the two hottest schedulers;
-* :meth:`Simulator.schedule_many` bulk-inserts a batch of callbacks,
+* :meth:`Simulator.schedule_many_at` bulk-inserts a batch of callbacks,
   switching from repeated pushes to an O(n) heapify when the batch is
   large relative to the queue;
 * cancellations are counted, and the queue compacts itself (filters dead
@@ -41,14 +40,10 @@ are performance-motivated:
   severed when its entry leaves the heap, so cancelling an
   already-dispatched event is a no-op and the tombstone counter stays
   exact (it counts dead entries actually present in the heap, never
-  phantoms);
-* :meth:`Simulator.try_advance` is the express-path gate used by
-  :mod:`repro.noc.network`: it advances the clock inline when — and only
-  when — doing so is indistinguishable from dispatching a scheduled event.
+  phantoms).
 """
 
-import heapq
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 #: Allocation shortcut for the inlined handle construction in
 #: :meth:`Simulator.schedule` (skips the ``Event.__init__`` call).
@@ -98,13 +93,6 @@ class Event:
                 if tombstones >= queue.COMPACT_MIN_TOMBSTONES:
                     queue._compact()
 
-    def __lt__(self, other):
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
     def __repr__(self):
         state = "cancelled" if self.cancelled else "pending"
         return "Event(t={}, prio={}, seq={}, {})".format(
@@ -117,7 +105,7 @@ class EventQueue:
 
     Entries are ``(time, priority, seq, handle, callback)`` tuples; the
     ``handle`` slot is ``None`` for fire-and-forget callbacks scheduled
-    through the no-allocation fast path.
+    through :meth:`Simulator.post` / :meth:`Simulator.post_at`.
     """
 
     #: Compact only once at least this many tombstones have accumulated.
@@ -136,14 +124,8 @@ class EventQueue:
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, priority, seq, callback, self)
-        heapq.heappush(self._heap, (time, priority, seq, event, callback))
+        heappush(self._heap, (time, priority, seq, event, callback))
         return event
-
-    def push_fast(self, time, priority, callback):
-        """Insert a non-cancellable callback without creating a handle."""
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._heap, (time, priority, seq, None, callback))
 
     def push_many(self, entries, priority):
         """Bulk-insert ``(time, callback)`` pairs; returns their handles.
@@ -165,54 +147,21 @@ class EventQueue:
         self._seq = seq
         if len(batch) * 8 >= len(heap):
             heap.extend(batch)
-            heapq.heapify(heap)
+            heapify(heap)
         else:
             for entry in batch:
-                heapq.heappush(heap, entry)
+                heappush(heap, entry)
         return handles
-
-    def pop(self):
-        """Remove and return the earliest live event, or ``None`` if empty.
-
-        Tombstoned (cancelled) events are discarded silently.  For entries
-        scheduled through the handle-less fast path an equivalent
-        :class:`Event` is synthesised so callers see a uniform interface.
-        """
-        heap = self._heap
-        while heap:
-            time, priority, seq, handle, callback = heapq.heappop(heap)
-            if handle is None:
-                return Event(time, priority, seq, callback)
-            # The entry has left the heap: sever the handle's queue link so
-            # a later cancel() cannot count a tombstone that is not there.
-            handle._queue = None
-            if not handle.cancelled:
-                return handle
-            self._tombstones -= 1
-        return None
-
-    def peek_time(self):
-        """Timestamp of the earliest live event, or ``None`` if empty."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            handle = entry[3]
-            if handle is not None and handle.cancelled:
-                heapq.heappop(heap)
-                handle._queue = None
-                self._tombstones -= 1
-                continue
-            return entry[0]
-        return None
 
     def _compact(self):
         """Drop tombstoned entries and restore the heap invariant.
 
-        The cancellation counter is exact — every pop site severs the
-        handle's queue link, so cancelling an already-dispatched event is
-        a no-op and the counter only ever counts dead entries actually
-        present in the heap.  After compaction the heap holds live entries
-        only and the counter is zero.
+        The cancellation counter is exact — :meth:`Simulator.run_until`
+        severs the handle's queue link as the entry leaves the heap, so
+        cancelling an already-dispatched event is a no-op and the counter
+        only ever counts dead entries actually present in the heap.  After
+        compaction the heap holds live entries only and the counter is
+        zero.
         """
         heap = self._heap
         if len(heap) >= 2 * self._tombstones:
@@ -223,7 +172,7 @@ class EventQueue:
             for entry in heap
             if entry[3] is None or not entry[3].cancelled
         ]
-        heapq.heapify(heap)
+        heapify(heap)
         self._tombstones = 0
 
 
@@ -253,7 +202,6 @@ class Simulator:
         self.rng = RngStreams(seed)
         self._queue = EventQueue()
         self._running = False
-        self._horizon = -1
         self._dispatched = 0
 
     # -- scheduling -------------------------------------------------------
@@ -319,27 +267,15 @@ class Simulator:
         queue._seq = seq + 1
         heappush(queue._heap, (time, priority, seq, None, callback))
 
-    def schedule_many(self, pairs, priority=PRIORITY_NORMAL):
-        """Bulk-schedule ``(delay, callback)`` pairs; returns handles.
-
-        Equivalent to ``[schedule(d, cb) for d, cb in pairs]`` — same-time
-        entries dispatch in list order — but inserts the whole batch at
-        once (heapify for large batches).  The relative-delay twin of
-        :meth:`schedule_many_at`, which multicast workload generation
-        uses to inject the sibling first hops of one fork instance.
-        """
-        now = self.now
-        entries = []
-        for delay, callback in pairs:
-            if delay < 0:
-                raise SimulationError(
-                    "cannot schedule {} us in the past".format(delay)
-                )
-            entries.append((now + int(delay), callback))
-        return self._queue.push_many(entries, priority)
-
     def schedule_many_at(self, pairs, priority=PRIORITY_NORMAL):
-        """Bulk-schedule ``(time, callback)`` pairs at absolute times."""
+        """Bulk-schedule ``(time, callback)`` pairs at absolute times.
+
+        Equivalent to ``[schedule_at(t, cb) for t, cb in pairs]`` —
+        same-time entries dispatch in list order — but inserts the whole
+        batch at once (heapify for large batches).  Multicast workload
+        generation uses it to inject the sibling first hops of one fork
+        instance.  Returns the handles.
+        """
         now = self.now
         entries = []
         for time, callback in pairs:
@@ -362,7 +298,6 @@ class Simulator:
         if self._running:
             raise SimulationError("run_until re-entered")
         self._running = True
-        self._horizon = horizon
         queue = self._queue
         heap = queue._heap
         pop = heappop
@@ -389,46 +324,6 @@ class Simulator:
         if self.now < horizon:
             self.now = horizon
         return self._dispatched
-
-    def step(self):
-        """Dispatch exactly one event; return it or ``None`` if drained."""
-        event = self._queue.pop()
-        if event is None:
-            return None
-        self.now = event.time
-        event.callback()
-        self._dispatched += 1
-        return event
-
-    def try_advance(self, time):
-        """Express-path gate: advance the clock to ``time`` if that is
-        indistinguishable from dispatching an event scheduled there.
-
-        Returns True — with ``now`` advanced — only when a ``run_until``
-        loop is active, ``time`` is within its horizon, and no pending
-        event would dispatch at or before ``time``.  Under those conditions
-        executing work inline is bit-identical to scheduling it: the next
-        heap pop cannot observe an intermediate clock.  Callers must
-        re-invoke the gate after any side effects that may have scheduled
-        new events (see the hop walker in :mod:`repro.noc.network`).
-        """
-        if not self._running or time > self._horizon:
-            return False
-        queue = self._queue
-        heap = queue._heap
-        while heap:
-            entry = heap[0]
-            handle = entry[3]
-            if handle is not None and handle.cancelled:
-                heapq.heappop(heap)
-                handle._queue = None
-                queue._tombstones -= 1
-                continue
-            if entry[0] <= time:
-                return False
-            break
-        self.now = time
-        return True
 
     # -- introspection ----------------------------------------------------
 

@@ -6,6 +6,7 @@ handle unchanged: a clean directory survives ``gc --apply`` byte-for-byte
 and the index stays derivable, never required.
 """
 
+import hashlib
 import json
 import os
 
@@ -15,7 +16,12 @@ from repro.campaign import gc as store_gc
 from repro.campaign.executor import run_campaign
 from repro.campaign.index import StoreIndex
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import RESULTS_FILE, ResultStore, encode_line
+from repro.campaign.store import (
+    RESULTS_FILE,
+    SPEC_FILE,
+    ResultStore,
+    encode_line,
+)
 from repro.experiments.cli import main
 from repro.platform.config import PlatformConfig
 
@@ -180,6 +186,42 @@ class TestGc:
         assert main(["campaign", "gc", "--root", root]) == 0
         out = capsys.readouterr().out
         assert "stale entries" in out
+
+
+@pytest.mark.parametrize("field,value", [
+    ("timer_mode", "ticked"),
+    ("fast_path", False),
+])
+def test_retired_field_spec_keeps_its_rows(tmp_path, field, value):
+    """A spec.json written while a retired knob existed, at a value its
+    rows were keyed with, no longer loads: ``ls`` counts no orphans,
+    ``gc --apply`` keeps every row and ``campaign --spec`` refuses to
+    re-key (and re-execute) the grid."""
+    directory = tmp_path / "legacy"
+    directory.mkdir()
+    spec = _spec("legacy").to_dict()
+    spec["config"][field] = value
+    spec_path = directory / SPEC_FILE
+    spec_path.write_text(json.dumps(spec, indent=2, sort_keys=True) + "\n")
+    lines = []
+    for seed in spec["seeds"]:
+        # The key those rows were stored under: the field was hashed.
+        payload = {"schema": 1, "model": "none", "seed": seed, "faults": 0,
+                   "metric": "joins", "config": spec["config"]}
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        lines.append(encode_line({"key": key, "row": {"seed": seed}}) + "\n")
+    results = directory / RESULTS_FILE
+    results.write_text("".join(lines))
+    summary = store_gc.summarize(str(directory))
+    assert summary.spec_cells is None
+    assert summary.stored == 2
+    assert summary.orphaned == 0
+    assert main(["campaign", "gc", "--root", str(tmp_path), "--apply"]) == 0
+    assert results.read_text() == "".join(lines)
+    with pytest.raises(ValueError, match=field):
+        main(["campaign", "--spec", str(spec_path), "--dir", str(directory)])
+    assert results.read_text() == "".join(lines)
 
 
 class TestExport:

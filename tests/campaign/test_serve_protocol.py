@@ -202,6 +202,16 @@ MALFORMED = [
          "config": {"timer_mode": "sometimes"}},
         id="unknown-timer-mode",
     ),
+    pytest.param(
+        {"name": "bad-j", "models": ["none"], "seeds": [1],
+         "config": {"timer_mode": "ticked"}},
+        id="retired-timer-mode-ticked",
+    ),
+    pytest.param(
+        {"name": "bad-k", "models": ["none"], "seeds": [1],
+         "config": {"fast_path": False}},
+        id="retired-fast-path-false",
+    ),
 ]
 
 

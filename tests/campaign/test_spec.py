@@ -141,12 +141,12 @@ class TestCampaignSpec:
         assert spec.seeds == (5,)
 
 
-class TestLegacyTimerMode:
-    """Specs written while the AIM ``timer_mode`` knob existed still load.
-
-    Both of its modes were bit-identical, so the field is dropped on load
-    and the cells keep the keys of the same spec without it.
-    """
+class TestRetiredConfigFields:
+    """Specs written while a retired config knob existed (the AIM
+    ``timer_mode``, the express hop engine's ``fast_path``) still load at
+    the value whose keys the spec without it conserves.  Rows stored
+    under any other value were keyed with it, so such a spec is rejected
+    rather than silently re-keyed (which would orphan those rows)."""
 
     _BASE = {
         "name": "legacy",
@@ -163,7 +163,7 @@ class TestLegacyTimerMode:
 
     @staticmethod
     def _historic_key(model, faults):
-        """The PR 2 cell-key recipe, replicated by hand."""
+        """The v1 cell-key recipe, replicated by hand."""
         payload = {
             "schema": HASH_SCHEMA_VERSION,
             "model": model,
@@ -175,19 +175,39 @@ class TestLegacyTimerMode:
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    @pytest.mark.parametrize("mode", ["ticked", "event"])
-    def test_legacy_value_expands_to_historic_keys(self, mode):
+    @pytest.mark.parametrize("field,value", [
+        ("timer_mode", "event"),
+        ("fast_path", True),
+    ])
+    def test_conserving_value_expands_to_historic_keys(self, field, value):
         historic = [
             self._historic_key(model, faults)
             for model in ("none", "foraging_for_work")
             for faults in (0, 2)
         ]
         assert self._keys() == historic
-        assert self._keys(timer_mode=mode) == historic
+        assert self._keys(**{field: value}) == historic
 
-    def test_unknown_value_rejected(self):
-        with pytest.raises(ValueError, match="timer mode"):
-            self._keys(timer_mode="sometimes")
+    @pytest.mark.parametrize("field,value", [
+        ("timer_mode", "ticked"),
+        ("timer_mode", "sometimes"),
+        ("fast_path", False),
+        ("fast_path", 1),
+        ("fast_path", 0),
+    ])
+    def test_other_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            self._keys(**{field: value})
+
+    def test_spec_json_bytes_unchanged(self):
+        """``to_dict`` still writes ``"fast_path": true``: spec.json
+        provenance keeps the bytes it had while the knob existed."""
+        text = json.dumps(_spec().to_dict(), indent=2, sort_keys=True)
+        assert '"fast_path": true' in text
+        assert hashlib.sha256((text + "\n").encode()).hexdigest() == (
+            "10b4dc923c77fba8a46679a3f494f3038bcb29e0055df47a22ae5a8490bea85b"
+        )
+        assert CampaignSpec.from_dict(json.loads(text)) == _spec()
 
 
 class TestScenarioAxis:
@@ -334,8 +354,9 @@ class TestDescriptorKeys:
 
 def _recipe_key(descriptor):
     """The cell-key recipe spelled out: SHA-256 of the whole payload as
-    compact sorted-key JSON, with every v1 config field and the post-v1
-    ones only when they differ from their defaults."""
+    compact sorted-key JSON, with every v1 config field (the retired
+    ``fast_path`` as ``true``) and the post-v1 ones only when they differ
+    from their defaults."""
     config = descriptor.config
     payload = {
         "schema": HASH_SCHEMA_VERSION,
@@ -350,6 +371,7 @@ def _recipe_key(descriptor):
             or getattr(config, field.name) != field.default
         },
     }
+    payload["config"]["fast_path"] = True
     if descriptor.scenario is not None:
         payload["scenario"] = descriptor.scenario.canonical()
     if descriptor.workload is not None:
@@ -360,10 +382,10 @@ def _recipe_key(descriptor):
 
 #: Config values the key property draws: int/float/bool look-alikes that
 #: compare equal but encode differently, on v1 and canonical-optional
-#: fields alike, plus a governor that joins the canonical dict.
+#: fields alike (``multicast_fork`` is the v1 bool), plus a governor that
+#: joins the canonical dict.
 _LOOKALIKES = {
     "flit_time_us": (1, 1.0, True, 2),
-    "fast_path": (True, False, 1, 0),
     "multicast_fork": (False, True, 0, 0.0),
     "service_jitter": (0.1, 0, 0.0, 1),
     "queue_capacity": (6, 6.0),

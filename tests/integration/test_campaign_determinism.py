@@ -3,8 +3,8 @@
 The campaign engine (repro.campaign) must be invisible in the results: a
 sharded, store-backed, resumed campaign has to produce exactly the rows
 the plain sequential seed path produces — bit-identical, not just close
-(mirroring tests/integration/test_fast_path_determinism.py, which pins
-the same property for the express hop engine).
+(mirroring tests/integration/test_scenario_determinism.py, which pins
+the same property for the scenario engine).
 """
 
 import pytest

@@ -7,7 +7,7 @@ Four angles, mirroring the other determinism layers:
   dynamics field mints a fresh key through ``canonical()``;
 * bit-identical repeats — thermal storms, deadlock pressure, and
   composed closed-loop scenarios produce byte-identical rows across
-  repeats and across ``fast_path`` on/off;
+  repeats;
 * the closed-loop race — a killed node with a scripted recovery at T
   and a watchdog due earlier recovers exactly once, at the watchdog's
   deterministic time, and the scripted-wins mirror case leaves the
@@ -169,19 +169,6 @@ def test_dynamics_scenarios_repeat_bit_identically(scenario):
     assert first.noc_stats == second.noc_stats
     assert first.app_stats == second.app_stats
     assert first.series.as_dict() == second.series.as_dict()
-
-
-def test_dynamics_rows_identical_across_fast_path():
-    slow = _DYN_CONFIG.replace(fast_path=False)
-    fast_row = run_single(
-        "ffw", seed=7, config=_DYN_CONFIG, scenario=_CLOSED_LOOP,
-        keep_series=False,
-    ).as_row()
-    slow_row = run_single(
-        "ffw", seed=7, config=slow, scenario=_CLOSED_LOOP,
-        keep_series=False,
-    ).as_row()
-    assert fast_row == slow_row
 
 
 def test_dynamics_free_run_matches_legacy_row_surface():

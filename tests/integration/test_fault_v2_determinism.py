@@ -5,8 +5,7 @@ links, controller attach-point failures, hazard-rate storms):
 
 * **bit-identical repeats** — every new kind, alone and composed, must
   reproduce the identical row, statistics and metrics series when run
-  twice at a fixed seed (same contract the express hop engine and the
-  campaign store are held to);
+  twice at a fixed seed (same contract the campaign store is held to);
 * **v1 conservation** — scenarios (and legacy fault counts) that avoid
   the new kinds must produce byte-identical stored records and mint the
   exact store keys the PR 3 engine minted, which is pinned here by
@@ -164,8 +163,15 @@ V1_CONFIG_FIELDS = (
 
 
 def _v1_config_dict(config):
-    """The PR 3 config-payload recipe, replicated by hand."""
-    return {name: getattr(config, name) for name in V1_CONFIG_FIELDS}
+    """The v1 config-payload recipe, replicated by hand; the retired
+    ``fast_path`` is spelled as the ``true`` every v1 key hashed."""
+    data = {
+        name: getattr(config, name)
+        for name in V1_CONFIG_FIELDS
+        if name != "fast_path"
+    }
+    data["fast_path"] = True
+    return data
 
 
 V1_SCENARIO = FaultScenario(

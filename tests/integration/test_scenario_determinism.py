@@ -3,9 +3,8 @@
 The FaultInjector is now an interpreter for declarative FaultScenarios;
 the legacy surface — ``run_single(faults=n)`` and campaign
 ``fault_counts`` — must keep producing exactly the rows it produced
-before the rework (mirroring test_fast_path_determinism.py and
-test_campaign_determinism.py, which pin the same property for the
-express hop engine and the campaign store).  Three angles:
+before the rework (mirroring test_campaign_determinism.py, which pins
+the same property for the campaign store).  Three angles:
 
 * a hand-rolled replica of the *pre-rework* injection code (the PR 2
   ``FaultInjector._inject`` body scheduled directly on the kernel) must

@@ -8,9 +8,9 @@ Four angles, mirroring the other determinism layers:
 * config-only equivalence — a config-only cell (no declared workload) runs
   exactly the explicit built-in ``fork_join`` spec built from the same
   config task-graph fields: rows, stats and series bit-identical, for
-  every such field, across models and across ``fast_path`` on/off; the
-  numbers the retired hand-written fork-join application produced stay
-  pinned by ``tests/experiments/golden/``;
+  every such field and across models; the numbers the retired
+  hand-written fork-join application produced stay pinned by
+  ``tests/experiments/golden/``;
 * time-varying arrivals — burst-driven runs repeat byte-identically;
 * the workloads campaign axis — expansion order, size, key
   distinctness, byte-identical empty-axis expansion, and spec
@@ -189,16 +189,6 @@ def test_config_only_load_aware_balances_the_static_weights():
     assert load_aware.as_row() == balanced.as_row()
     assert load_aware.app_stats == balanced.app_stats
     assert load_aware.series.as_dict() == balanced.series.as_dict()
-
-
-def test_fork_join_spec_matches_legacy_across_fast_path():
-    spec = fork_join_spec()
-    fast = run_single("ffw", seed=7, faults=3, config=_CONFIG,
-                      workload=spec)
-    slow = run_single("ffw", seed=7, faults=3,
-                      config=_CONFIG.replace(fast_path=False),
-                      workload=spec)
-    assert fast.as_row() == slow.as_row()
 
 
 def test_multicast_spec_matches_legacy_multicast():

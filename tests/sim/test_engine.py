@@ -6,51 +6,44 @@ from repro.sim.engine import EventQueue, SimulationError
 
 
 class TestEventQueue:
-    def test_pop_returns_events_in_time_order(self):
-        queue = EventQueue()
+    """Ordering, tombstones and compaction, observed through the order in
+    which ``run_until`` (the kernel's only dispatch loop) runs events."""
+
+    def test_dispatches_in_time_order(self, sim):
         order = []
-        queue.push(30, 10, lambda: order.append("c"))
-        queue.push(10, 10, lambda: order.append("a"))
-        queue.push(20, 10, lambda: order.append("b"))
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            event.callback()
+        for time, label in ((30, "c"), (10, "a"), (20, "b")):
+            sim.schedule_at(time, lambda label=label: order.append(label))
+        sim.run_until(100)
         assert order == ["a", "b", "c"]
 
-    def test_same_time_breaks_ties_by_priority(self):
-        queue = EventQueue()
-        queue.push(10, 20, None)
-        high = queue.push(10, 0, None)
-        assert queue.pop() is high
+    def test_same_time_breaks_ties_by_priority(self, sim):
+        order = []
+        sim.schedule(10, lambda: order.append("low"), priority=20)
+        sim.schedule(10, lambda: order.append("high"), priority=0)
+        sim.run_until(10)
+        assert order == ["high", "low"]
 
-    def test_same_time_same_priority_is_fifo(self):
-        queue = EventQueue()
-        first = queue.push(10, 10, None)
-        second = queue.push(10, 10, None)
-        assert queue.pop() is first
-        assert queue.pop() is second
+    def test_same_time_same_priority_is_fifo(self, sim):
+        order = []
+        sim.schedule(10, lambda: order.append("first"))
+        sim.post(10, lambda: order.append("second"))
+        sim.schedule_at(10, lambda: order.append("third"))
+        sim.run_until(10)
+        assert order == ["first", "second", "third"]
 
-    def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        event = queue.push(10, 10, None)
-        survivor = queue.push(20, 10, None)
+    def test_cancelled_events_are_skipped(self, sim):
+        order = []
+        event = sim.schedule(10, lambda: order.append("dead"))
+        sim.schedule(20, lambda: order.append("survivor"))
         event.cancel()
-        assert queue.pop() is survivor
+        sim.run_until(100)
+        assert order == ["survivor"]
+        assert sim.dispatched_events == 1
+        assert sim._queue._tombstones == 0
 
-    def test_pop_empty_returns_none(self):
-        assert EventQueue().pop() is None
-
-    def test_peek_time_skips_tombstones(self):
-        queue = EventQueue()
-        dead = queue.push(5, 10, None)
-        queue.push(8, 10, None)
-        dead.cancel()
-        assert queue.peek_time() == 8
-
-    def test_peek_time_empty_returns_none(self):
-        assert EventQueue().peek_time() is None
+    def test_empty_queue_dispatches_nothing(self, sim):
+        assert sim.run_until(50) == 0
+        assert sim.now == 50
 
     def test_len_counts_entries_including_tombstones(self):
         queue = EventQueue()
@@ -59,39 +52,42 @@ class TestEventQueue:
         event.cancel()
         assert len(queue) == 2
 
-    def test_compaction_reclaims_tombstone_heavy_heap(self):
-        queue = EventQueue()
+    def test_compaction_reclaims_tombstone_heavy_heap(self, sim):
+        order = []
         doomed = [
-            queue.push(t, 10, None)
+            sim.schedule(t, lambda: order.append("dead"))
             for t in range(2 * EventQueue.COMPACT_MIN_TOMBSTONES)
         ]
-        survivors = [queue.push(10_000 + t, 10, None) for t in range(5)]
+        for t in range(5):
+            sim.schedule(10_000 + t, lambda t=t: order.append(t))
         for event in doomed:
             event.cancel()
         # The cancellation burst crossed the threshold on a mostly-dead
         # heap, so a rebuild fired mid-burst: the heap stays bounded well
         # below the full push count instead of accumulating every corpse.
-        assert len(queue) < len(doomed) + len(survivors)
-        assert len(queue) <= 2 * (queue._tombstones + len(survivors))
-        assert [queue.pop() for _ in range(5)] == survivors
-        assert queue.pop() is None
+        queue = sim._queue
+        assert len(queue) < len(doomed) + 5
+        assert len(queue) <= 2 * (queue._tombstones + 5)
+        sim.run_until(20_000)
+        assert order == [0, 1, 2, 3, 4]
+        assert len(queue) == queue._tombstones == 0
 
-    def test_compaction_waits_while_heap_is_mostly_live(self):
-        queue = EventQueue()
+    def test_compaction_waits_while_heap_is_mostly_live(self, sim):
+        order = []
         doomed = [
-            queue.push(t, 10, None)
+            sim.schedule(t, lambda: order.append("dead"))
             for t in range(EventQueue.COMPACT_MIN_TOMBSTONES)
         ]
-        live = [
-            queue.push(10_000 + t, 10, None)
-            for t in range(3 * EventQueue.COMPACT_MIN_TOMBSTONES)
-        ]
+        live = 3 * EventQueue.COMPACT_MIN_TOMBSTONES
+        for t in range(live):
+            sim.schedule(10_000 + t, lambda t=t: order.append(t))
         for event in doomed:
             event.cancel()
         # Tombstones are above the count threshold but under half the
         # heap: the rebuild is deferred, entries stay put.
-        assert len(queue) == len(doomed) + len(live)
-        assert queue.pop() is live[0]
+        assert len(sim._queue) == len(doomed) + live
+        sim.run_until(10_000)
+        assert order == [0]
 
     def test_double_cancel_counts_once(self):
         queue = EventQueue()
@@ -169,16 +165,6 @@ class TestSimulator:
         sim.run_until(10)
         assert order == ["control", "normal", "sample"]
 
-    def test_step_dispatches_single_event(self, sim):
-        seen = []
-        sim.schedule(5, lambda: seen.append("a"))
-        sim.schedule(6, lambda: seen.append("b"))
-        sim.step()
-        assert seen == ["a"]
-
-    def test_step_on_empty_queue_returns_none(self, sim):
-        assert sim.step() is None
-
     def test_dispatched_events_counted(self, sim):
         for delay in (1, 2, 3):
             sim.schedule(delay, lambda: None)
@@ -204,18 +190,18 @@ class TestSimulator:
 
 
 class TestBulkAndFastScheduling:
-    def test_schedule_many_preserves_list_order_on_ties(self, sim):
+    def test_schedule_many_at_preserves_list_order_on_ties(self, sim):
         order = []
-        sim.schedule_many(
+        sim.schedule_many_at(
             [(5, lambda i=i: order.append(i)) for i in range(6)]
         )
         sim.run_until(10)
         assert order == [0, 1, 2, 3, 4, 5]
 
-    def test_schedule_many_interleaves_with_single_schedules(self, sim):
+    def test_schedule_many_at_interleaves_with_single_schedules(self, sim):
         order = []
         sim.schedule(5, lambda: order.append("single-first"))
-        sim.schedule_many(
+        sim.schedule_many_at(
             [
                 (5, lambda: order.append("bulk-a")),
                 (3, lambda: order.append("early")),
@@ -228,7 +214,7 @@ class TestBulkAndFastScheduling:
             "early", "single-first", "bulk-a", "bulk-b", "single-last",
         ]
 
-    def test_schedule_many_large_batch_heapify_path(self, sim):
+    def test_schedule_many_at_large_batch_heapify_path(self, sim):
         # Batch much larger than the existing heap exercises the O(n)
         # heapify branch; dispatch order must still be (time, seq).
         seen = []
@@ -236,23 +222,19 @@ class TestBulkAndFastScheduling:
         pairs = [
             (1000 - i, lambda i=i: seen.append(i)) for i in range(200)
         ]
-        handles = sim.schedule_many(pairs)
+        handles = sim.schedule_many_at(pairs)
         assert len(handles) == 200
         sim.run_until(2000)
         assert seen == [-1] + list(range(199, -1, -1))
 
-    def test_schedule_many_handles_cancel(self, sim):
+    def test_schedule_many_at_handles_cancel(self, sim):
         seen = []
-        handles = sim.schedule_many(
+        handles = sim.schedule_many_at(
             [(4, lambda: seen.append("a")), (5, lambda: seen.append("b"))]
         )
         handles[1].cancel()
         sim.run_until(10)
         assert seen == ["a"]
-
-    def test_schedule_many_rejects_negative_delay(self, sim):
-        with pytest.raises(SimulationError):
-            sim.schedule_many([(1, lambda: None), (-2, lambda: None)])
 
     def test_schedule_many_at_absolute_times(self, sim):
         order = []
@@ -279,56 +261,6 @@ class TestBulkAndFastScheduling:
             sim.post(-1, lambda: None)
 
 
-class TestTryAdvance:
-    def test_requires_active_run(self, sim):
-        assert sim.try_advance(5) is False
-
-    def test_advances_when_nothing_pending_before(self, sim):
-        observed = []
-
-        def probe():
-            observed.append(sim.try_advance(50))
-            observed.append(sim.now)
-
-        sim.schedule(10, probe)
-        sim.run_until(100)
-        assert observed == [True, 50]
-
-    def test_blocked_by_earlier_pending_event(self, sim):
-        observed = []
-
-        def probe():
-            observed.append(sim.try_advance(50))
-            observed.append(sim.now)
-
-        sim.schedule(10, probe)
-        sim.schedule(30, lambda: None)
-        sim.run_until(100)
-        assert observed == [False, 10]
-
-    def test_blocked_by_same_time_pending_event(self, sim):
-        observed = []
-        sim.schedule(10, lambda: observed.append(sim.try_advance(50)))
-        sim.schedule(50, lambda: None)
-        sim.run_until(100)
-        assert observed == [False]
-
-    def test_cancelled_head_does_not_block(self, sim):
-        observed = []
-        sim.schedule(10, lambda: observed.append(sim.try_advance(50)))
-        blocker = sim.schedule(30, lambda: None)
-        blocker.cancel()
-        sim.run_until(100)
-        assert observed == [True]
-
-    def test_blocked_beyond_horizon(self, sim):
-        observed = []
-        sim.schedule(10, lambda: observed.append(sim.try_advance(150)))
-        sim.run_until(100)
-        assert observed == [False]
-        assert sim.now == 100
-
-
 class TestPhantomTombstones:
     """Regression: cancelling an already-dispatched event is a no-op.
 
@@ -336,17 +268,10 @@ class TestPhantomTombstones:
     ``EventQueue._tombstones`` (the handle kept its queue link), so the
     counter drifted above the number of dead entries actually in the heap
     and later real cancels triggered spurious O(n) compactions of
-    mostly-live heaps.  The pop sites now sever the link, making the
-    counter exact: it always equals the live tombstone population.
+    mostly-live heaps.  ``run_until`` now severs the link as each entry
+    leaves the heap, making the counter exact: it always equals the live
+    tombstone population.
     """
-
-    def test_cancel_after_queue_pop_is_a_counter_noop(self):
-        queue = EventQueue()
-        event = queue.push(10, 10, lambda: None)
-        assert queue.pop() is event
-        event.cancel()
-        assert event.cancelled
-        assert queue._tombstones == 0
 
     def test_cancel_after_run_until_dispatch_is_a_counter_noop(self):
         from repro.sim.engine import Simulator
@@ -376,29 +301,15 @@ class TestPhantomTombstones:
         )
         assert queue._tombstones == live == 4
 
-    def test_try_advance_tombstone_skip_severs_the_link(self):
-        from repro.sim.engine import Simulator
-
-        sim = Simulator()
-        blocker = sim.schedule(30, lambda: None)
-        blocker.cancel()
-        outcome = []
-        sim.schedule(10, lambda: outcome.append(sim.try_advance(50)))
-        sim.run_until(100)
-        assert outcome == [True]
-        blocker.cancel()  # second cancel of a popped handle: no phantom
-        assert sim._queue._tombstones == 0
-
-    def test_peek_time_tombstone_skip_severs_the_link(self):
-        queue = EventQueue()
-        dead = queue.push(10, 10, lambda: None)
-        queue.push(20, 10, lambda: None)
+    def test_run_until_tombstone_skip_severs_the_link(self, sim):
+        dead = sim.schedule(10, lambda: None)
+        sim.schedule(20, lambda: None)
         dead.cancel()
-        assert queue.peek_time() == 20
+        sim.run_until(100)
         dead.cancel()
         dead.cancelled = False
         dead.cancel()  # even a forced re-cancel cannot reach the queue
-        assert queue._tombstones == 0
+        assert sim._queue._tombstones == 0
 
     def test_no_spurious_compaction_from_phantom_counts(self):
         """100 late cancels must not push a live heap into compaction."""
