@@ -156,6 +156,14 @@ value: ``PlatformConfig(flit_time_us=1.0)`` compares and hashes equal
 to ``PlatformConfig()`` (``1.0 == 1``) yet encodes ``1.0`` and mints a
 different key, so a cache keyed by config would hand one config the
 other's key.
+
+A deleted config knob leaves a retired field behind
+(:data:`~repro.platform.config.RETIRED_FIELDS`) with the one value at
+which a spec without it keeps its keys; a retired v1 field is still
+hashed at that value.  ``CampaignSpec.from_dict`` accepts a retired
+field only at that value.  Any other value was hashed into its rows'
+keys, so the spec is rejected rather than re-keyed: ``campaign gc``
+cannot load it, finds no orphans and keeps those rows.
 """
 
 from repro.campaign.client import CampaignClient, CampaignStatus, ServeError

@@ -122,9 +122,9 @@ class ArtificialIntelligenceModule:
 
         The model's :meth:`~repro.core.models.base.IntelligenceModel.
         on_restart` hook runs before the next tick: a deadline armed
-        before the fault is stale evidence (the node's task and queues were wiped), so e.g. FFW
-        disarms instead of firing an immediate switch against a pre-fault
-        candidate.
+        before the fault is stale evidence (the node's task and queues
+        were wiped), so e.g. FFW disarms instead of firing an immediate
+        switch against a pre-fault candidate.
         """
         if self.model is None:
             return
