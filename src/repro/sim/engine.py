@@ -68,7 +68,7 @@ class Event:
 
     __slots__ = ("time", "priority", "seq", "callback", "cancelled", "_queue")
 
-    def __init__(self, time, priority, seq, callback, queue=None):
+    def __init__(self, time, priority, seq, callback, queue):
         self.time = time
         self.priority = priority
         self.seq = seq
