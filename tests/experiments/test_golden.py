@@ -70,6 +70,36 @@ def check_golden(name, payload, update):
     )
 
 
+def _load_golden(name):
+    path = os.path.join(GOLDEN_DIR, name + ".json")
+    if not os.path.exists(path):
+        return {}
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def check_golden_entry(name, entry, payload, update):
+    """Compare ``payload`` against entry ``entry`` of ``golden/<name>.json``.
+
+    The per-entry form of :func:`check_golden`, for files that pin one
+    cell per parametrised test: ``--update-golden`` rewrites only this
+    entry and leaves the others as stored.
+    """
+    stored = _load_golden(name)
+    if update:
+        stored[entry] = payload
+        check_golden(name, stored, update)  # rewrites the file and skips
+    assert entry in stored, (
+        "golden file {} has no entry {!r} — generate it with "
+        "--update-golden".format(name, entry)
+    )
+    assert _canonical(payload) == stored[entry], (
+        "{}[{!r}] drifted from its golden pin; if the change is "
+        "intentional, refresh with --update-golden and review the "
+        "diff".format(name, entry)
+    )
+
+
 def _table_runs(fault_counts):
     runs = []
     for model in MODELS:
@@ -167,20 +197,33 @@ def _hop_engine_cells():
     return cells
 
 
-def test_hop_engine_cells_match_golden(update_golden):
+@pytest.mark.parametrize("name", list(_hop_engine_cells()))
+def test_hop_engine_cells_match_golden(name, update_golden):
     """Rows, NoC counters and application stats of every model with and
     without faults, plus adaptive-routing, multicast, dynamics and
-    declared-workload cells: the per-hop packet engine's outputs."""
-    payload = {}
-    for name, cell in _hop_engine_cells().items():
-        cell.setdefault("config", HOP_CONFIG)
-        result = run_single(keep_series=False, **cell)
-        payload[name] = {
-            "row": result.as_row(),
-            "noc_stats": result.noc_stats,
-            "app_stats": result.app_stats,
-        }
-    check_golden("hop_engine_cells", payload, update_golden)
+    declared-workload cells: the per-hop packet engine's outputs, one
+    cell per test."""
+    cell = _hop_engine_cells()[name]
+    cell.setdefault("config", HOP_CONFIG)
+    result = run_single(keep_series=False, **cell)
+    payload = {
+        "row": result.as_row(),
+        "noc_stats": result.noc_stats,
+        "app_stats": result.app_stats,
+    }
+    check_golden_entry("hop_engine_cells", name, payload, update_golden)
+
+
+def test_hop_engine_golden_pins_exactly_the_matrix(update_golden):
+    """No stale entry outlives a cell dropped from the matrix."""
+    if update_golden:
+        stored = _load_golden("hop_engine_cells")
+        kept = {name: stored[name] for name in _hop_engine_cells()
+                if name in stored}
+        check_golden("hop_engine_cells", kept, update_golden)
+    assert sorted(_load_golden("hop_engine_cells")) == sorted(
+        _hop_engine_cells()
+    )
 
 
 def test_figure4_panel_matches_golden(update_golden):

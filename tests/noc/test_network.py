@@ -203,3 +203,32 @@ def test_stats_hops_accumulate(net, sim):
     sim.run_until(10_000)
     assert net.stats["hops"] == 3
     assert net.stats["delivered"] == 1
+
+
+def test_each_hop_is_one_kernel_event(net, sim):
+    net.directory.set_task(3, 2)
+    packet = Packet(src_node=0, dest_task=2)
+    net.send(packet, 0)
+    # Injection claims the first link at once and posts its arrival.
+    assert (packet.hops, sim.pending_events, sim.dispatched_events) == (
+        1, 1, 0,
+    )
+    # One dispatched event per router the packet reaches after the
+    # source, even with nothing else pending to interleave with.
+    sim.run_until(10_000)
+    assert packet.status == PacketStatus.DELIVERED
+    assert sim.dispatched_events == net.stats["hops"] == 3
+
+
+def test_multicast_hops_are_one_kernel_event_each(net, sim):
+    for provider in (5, 6, 10):
+        net.directory.set_task(provider, 2)
+    packets = [Packet(0, dest_task=2, branch=b) for b in range(3)]
+    assert net.send_multicast(packets, 0) == 3
+    # The three first hops are claimed at once and bulk-posted.
+    assert [p.hops for p in packets] == [1, 1, 1]
+    assert (sim.pending_events, sim.dispatched_events) == (3, 0)
+    sim.run_until(10_000)
+    assert all(p.status == PacketStatus.DELIVERED for p in packets)
+    # 2 + 3 + 4 hops to nodes 5, 6 and 10; shared-channel waits add none.
+    assert sim.dispatched_events == net.stats["hops"] == 9

@@ -188,6 +188,17 @@ class TestSimulator:
         sim.run_until(40)
         assert seen == [1, 2]
 
+    def test_run_until_steps_one_event_at_a_time(self, sim):
+        # The return value is the running dispatch total, so a caller can
+        # step event by event with successive horizons.
+        seen = []
+        sim.schedule(5, lambda: seen.append("a"))
+        sim.schedule(6, lambda: seen.append("b"))
+        assert sim.run_until(5) == 1
+        assert seen == ["a"]
+        assert sim.run_until(6) == 2
+        assert seen == ["a", "b"]
+
 
 class TestBulkAndFastScheduling:
     def test_schedule_many_at_preserves_list_order_on_ties(self, sim):
@@ -249,6 +260,19 @@ class TestBulkAndFastScheduling:
         sim.run_until(10)
         with pytest.raises(SimulationError):
             sim.schedule_many_at([(5, lambda: None)])
+
+    def test_schedule_many_at_rejects_the_whole_batch(self, sim):
+        # One past entry anywhere in the batch refuses all of it: the
+        # times are checked before anything reaches the heap.
+        seen = []
+        sim.run_until(10)
+        with pytest.raises(SimulationError):
+            sim.schedule_many_at(
+                [(15, lambda: seen.append("early")), (5, lambda: None)]
+            )
+        assert sim.pending_events == 0
+        sim.run_until(100)
+        assert seen == []
 
     def test_post_fires_without_handle(self, sim):
         seen = []
