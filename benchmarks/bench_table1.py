@@ -12,20 +12,22 @@ fastest and defines 100 %; NI lands near the baseline with wider spread;
 FFW settles slowest but to clearly the highest performance.
 
 Run with ``pytest benchmarks/bench_table1.py --benchmark-only -s`` to see
-the regenerated table.
+the regenerated table.  The cells run through the campaign executor, the
+same path as the CLI's ``table1``.
 """
 
 import pytest
 
-from benchmarks.harness import gather_zero_fault, runs_per_cell
-from repro.experiments.tables import format_table, table1
-from repro.platform.config import PlatformConfig
+from benchmarks.harness import runs_per_cell, seed_base
+from repro.campaign import paper
+from repro.campaign.executor import run_campaign
+from repro.experiments.tables import format_table
 
 
 @pytest.fixture(scope="module")
 def table1_rows():
-    results = gather_zero_fault(PlatformConfig())
-    return table1(results)
+    spec = paper.table1_spec(runs=runs_per_cell(), seed_base=seed_base())
+    return paper.artifact(run_campaign(spec))
 
 
 def test_table1_reproduction(benchmark, table1_rows):

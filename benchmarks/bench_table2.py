@@ -12,19 +12,24 @@ model; FFW holds the highest relative performance at every fault count;
 NI loses its edge and crosses below the baseline at large fault counts
 (it cannot re-recruit source nodes, and its switching flux follows the
 packet mix rather than the damage).
+
+The cells run through the campaign executor, the same path as the CLI's
+``table2``.
 """
 
 import pytest
 
-from benchmarks.harness import TABLE2_FAULTS, gather_faulted, runs_per_cell
-from repro.experiments.tables import format_table, table2
-from repro.platform.config import PlatformConfig
+from benchmarks.harness import runs_per_cell, seed_base
+from repro.campaign import paper
+from repro.campaign.executor import run_campaign
+from repro.campaign.paper import TABLE2_FAULTS
+from repro.experiments.tables import format_table
 
 
 @pytest.fixture(scope="module")
 def table2_rows():
-    results = gather_faulted(PlatformConfig(), fault_counts=TABLE2_FAULTS)
-    return table2(results)
+    spec = paper.table2_spec(runs=runs_per_cell(), seed_base=seed_base())
+    return paper.artifact(run_campaign(spec))
 
 
 def test_table2_reproduction(benchmark, table2_rows):

@@ -91,8 +91,9 @@ def run_campaign(spec, store=None, processes=None, progress=None,
         cached cells are skipped and fresh cells are checkpointed as
         they finish.
     processes:
-        ``None``/0/1 sequential; larger values shard pending cells
-        across a pool.  (CLI callers default this to
+        ``None`` reads ``REPRO_PROCESSES`` (sequential when unset or
+        empty); 0/1 sequential; larger values shard pending cells across
+        a pool.  (CLI callers default this to
         :func:`~repro.experiments.runner.default_processes`.)
     progress:
         Optional callable ``progress(done, total, cached)`` invoked

@@ -228,12 +228,15 @@ def _checked(outcome):
     return outcome
 
 
+def _env_processes(default):
+    """``REPRO_PROCESSES`` as an int; ``default`` when unset or empty."""
+    env = os.environ.get("REPRO_PROCESSES")
+    return int(env) if env else default
+
+
 def default_processes():
     """Worker-count default: REPRO_PROCESSES env, then ``os.cpu_count``."""
-    env = os.environ.get("REPRO_PROCESSES")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+    return _env_processes(os.cpu_count() or 1)
 
 
 def iter_runs(jobs, processes=None, chunksize=None):
@@ -243,7 +246,8 @@ def iter_runs(jobs, processes=None, chunksize=None):
     ``(model, seed, faults, config, metric, keep_series, scenario,
     workload)`` as :meth:`repro.campaign.spec.RunDescriptor.job` builds
     it; trailing arguments may be left off (:func:`run_batch` passes the
-    first six).  ``processes``: ``None``/0/1 runs sequentially; larger
+    first six).  ``processes``: ``None`` reads ``REPRO_PROCESSES``
+    (sequential when unset or empty); 0/1 runs sequentially; larger
     values shard the jobs across a multiprocessing pool with chunked
     ``imap`` — results stream back in order without materialising the
     whole sweep in the pool at once, so callers can checkpoint as cells
@@ -251,7 +255,7 @@ def iter_runs(jobs, processes=None, chunksize=None):
     Failures surface as :class:`RunError` with the cell context.
     """
     if processes is None:
-        processes = int(os.environ.get("REPRO_PROCESSES", "0"))
+        processes = _env_processes(0)
     jobs = list(jobs)
     if processes and processes > 1 and len(jobs) > 1:
         import multiprocessing

@@ -1,24 +1,14 @@
-"""Tests for the benchmark harness helpers."""
+"""Tests for the benchmark harness helpers and the perf gate's check."""
 
 import pytest
 
-from benchmarks import harness
 from benchmarks.harness import (
-    MODELS,
-    SMOKE_LEGS,
-    TABLE2_FAULTS,
-    SmokeLeg,
-    build_parser,
-    check_campaign_smoke,
-    check_dedup_smoke,
-    gather_zero_fault,
-    main,
-    run_campaign_smoke,
-    run_dedup_smoke,
+    GATED_BENCHMARK,
+    check_regression,
     runs_per_cell,
     seed_base,
 )
-from repro.platform.config import PlatformConfig
+from repro.campaign.paper import MODELS, TABLE2_FAULTS
 
 
 def test_models_match_paper_order():
@@ -43,84 +33,18 @@ def test_seed_base_env(monkeypatch):
     assert seed_base() == 7
 
 
-def test_gather_zero_fault_small(monkeypatch):
-    monkeypatch.setenv("REPRO_RUNS", "2")
-    results = gather_zero_fault(PlatformConfig.small())
-    assert set(results) == set(MODELS)
-    for model, runs in results.items():
-        assert len(runs) == 2
-        assert all(r.faults == 0 for r in runs)
+_BASELINE = {"benchmarks": {GATED_BENCHMARK: 0.004, "other": 1.0}}
 
 
-def test_campaign_smoke_resumed_pass_hits_store():
-    smoke = run_campaign_smoke()
-    assert smoke["cells"] == 4
-    assert smoke["cold_executed"] == 4
-    assert smoke["warm_executed"] == 0
-    assert smoke["warm_cached"] == 4
-    assert smoke["identical"]
-    assert check_campaign_smoke(smoke) is None
-
-
-def test_check_campaign_smoke_flags_reexecution():
-    bad = {"cells": 4, "warm_executed": 2, "identical": True}
-    assert "re-executed" in check_campaign_smoke(bad)
-    drifted = {"cells": 4, "warm_executed": 0, "identical": False}
-    assert "differ" in check_campaign_smoke(drifted)
-
-
-def test_dedup_smoke_shared_cells_execute_nothing():
-    smoke = run_dedup_smoke()
-    assert smoke["shared_cells"] == 4
-    assert smoke["deduped"] == 4      # all resolved via the root index
-    assert smoke["executed"] == 4     # only the second campaign's faulted cells
-    assert smoke["identical"]
-    assert check_dedup_smoke(smoke) is None
-
-
-def test_check_dedup_smoke_flags_failures():
-    partial = {"shared_cells": 4, "faulted_cells": 4, "deduped": 2,
-               "executed": 4, "identical": True}
-    assert "deduped 2 of 4" in check_dedup_smoke(partial)
-    reran = {"shared_cells": 4, "faulted_cells": 4, "deduped": 4,
-             "executed": 6, "identical": True}
-    assert "executed 6" in check_dedup_smoke(reran)
-    drifted = {"shared_cells": 4, "faulted_cells": 4, "deduped": 4,
-               "executed": 4, "identical": False}
-    assert "differ" in check_dedup_smoke(drifted)
-
-
-def test_every_smoke_flag_has_a_leg():
-    flags = {
-        action.dest for action in build_parser()._actions
-        if action.dest.endswith("_smoke")
-    }
-    assert flags == {leg.flag for leg in SMOKE_LEGS}
-    keys = [leg.key for leg in SMOKE_LEGS]
-    assert len(keys) == len(set(keys))
-
-
-def test_main_without_flags_errors(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main([])
-    assert excinfo.value.code == 2
-    assert "nothing to do" in capsys.readouterr().err
-
-
-def test_failed_leg_exits_2_and_stops(monkeypatch, capsys):
-    ran = []
-
-    def leg(key, failure):
-        return SmokeLeg(
-            "dynamics_smoke", key, lambda: ran.append(key) or {},
-            lambda _evidence: print(key), lambda _evidence: failure,
-            key + " ok",
-        )
-
-    monkeypatch.setattr(harness, "SMOKE_LEGS", (
-        leg("first", None), leg("second", "boom"), leg("third", None),
-    ))
-    assert main(["--dynamics-smoke"]) == 2
-    assert ran == ["first", "second"]
-    out = capsys.readouterr().out
-    assert out == "first\n  first ok\nsecond\n\nDYNAMICS SMOKE FAILED: boom\n"
+@pytest.mark.parametrize("medians, baseline, failure", [
+    ({GATED_BENCHMARK: 0.0049}, _BASELINE, None),
+    ({GATED_BENCHMARK: 0.0051}, _BASELINE,
+     ": median 0.0051s exceeds 125% of baseline 0.0040s"),
+    ({"other": 1.0}, _BASELINE, ": missing from this run"),
+    ({GATED_BENCHMARK: 0.004}, {"benchmarks": {"other": 1.0}},
+     ": missing from the baseline"),
+    ({GATED_BENCHMARK: 0.004}, {}, ": missing from the baseline"),
+], ids=["within", "over", "missing-run", "missing-baseline", "empty-baseline"])
+def test_check_regression(medians, baseline, failure):
+    expected = None if failure is None else GATED_BENCHMARK + failure
+    assert check_regression(medians, baseline) == expected

@@ -1,5 +1,7 @@
 """Tests for the run harness (on the small fast config)."""
 
+import os
+
 import pytest
 
 from repro.experiments.runner import (
@@ -81,6 +83,15 @@ def test_default_processes_env(monkeypatch):
     assert default_processes() == 3
     monkeypatch.delenv("REPRO_PROCESSES")
     assert default_processes() >= 1
+
+
+def test_empty_processes_env_reads_as_unset(monkeypatch, small_config):
+    """``REPRO_PROCESSES=`` keeps each default: the CPU count for the
+    CLI, a sequential sweep for the library."""
+    monkeypatch.setenv("REPRO_PROCESSES", "")
+    assert default_processes() == (os.cpu_count() or 1)
+    results = run_batch("none", seeds=[1, 2], config=small_config)
+    assert [r.seed for r in results] == [1, 2]
 
 
 def test_run_batch_parallel_matches_sequential(small_config):

@@ -1,11 +1,14 @@
-"""Smoke tests: the example scripts must run to completion.
+"""Smoke tests: every example script must run to completion.
 
-The two full-Centurion examples (fault_tolerance, task_allocation) take
-several seconds each and are exercised by the figure/table benches, so
-only the fast examples run here.
+Each ``examples/*.py`` script runs in-process and its output is checked
+for a landmark line; ``test_every_example_is_tested`` fails when a script
+is added without a test here.  The full-Centurion examples take a few
+seconds each and are marked ``slow``.
 """
 
+import re
 import runpy
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,19 @@ def test_task_allocation(capsys):
 def test_fault_tolerance(capsys):
     out = run_example("fault_tolerance.py", capsys)
     assert "retained" in out
+
+
+@pytest.mark.slow
+def test_telemetry(capsys, monkeypatch, tmp_path):
+    # The example exports its series to a temp CSV it keeps for the user.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    out = run_example("telemetry.py", capsys)
+    assert "Packet latency by destination task" in out
+    assert "Exported 100 metric windows" in out
+
+
+def test_every_example_is_tested():
+    tested = set(re.findall(
+        r'run_example\("(\w+\.py)"', Path(__file__).read_text()
+    ))
+    assert tested == {path.name for path in EXAMPLES.glob("*.py")}

@@ -5,7 +5,9 @@ HTTP must produce cell keys and record lines **byte-identical** to the
 same spec run sequentially via ``run_campaign`` (the ``campaign
 --spec`` path).  Real simulations on the shortened small platform — one
 sequential root, one served root, then a line-level diff and a clean
-``campaign compare`` between them.
+``campaign compare`` between them.  On the served root a resubmission
+and an overlapping tenant execute nothing, and the daemon's shutdown
+leaves the dedup index on disk.
 """
 
 import json
@@ -16,6 +18,7 @@ import pytest
 from repro.analysis import report as analysis_report
 from repro.campaign.client import CampaignClient
 from repro.campaign.executor import run_campaign
+from repro.campaign.index import INDEX_FILE
 from repro.campaign.serve import CampaignServer
 from repro.campaign.spec import CampaignSpec
 from repro.platform.config import PlatformConfig
@@ -23,6 +26,7 @@ from repro.platform.config import PlatformConfig
 #: Shortened small-platform grid: 2 models × 1 seed × 2 fault counts.
 _CONFIG = PlatformConfig.small(horizon_us=120_000, fault_time_us=60_000)
 _NAME = "served"
+_TENANT = "tenant"
 
 
 def make_spec():
@@ -36,10 +40,10 @@ def make_spec():
     )
 
 
-def read_lines(root):
+def read_lines(root, name=_NAME):
     """``key -> raw line`` of the campaign's results stream."""
     lines = {}
-    path = os.path.join(root, _NAME, "results.jsonl")
+    path = os.path.join(root, name, "results.jsonl")
     with open(path, "rb") as handle:
         for line in handle:
             lines[json.loads(line)["key"]] = line
@@ -48,7 +52,11 @@ def read_lines(root):
 
 @pytest.fixture(scope="module")
 def roots(tmp_path_factory):
-    """(sequential root, served root) holding the same completed spec."""
+    """(sequential root, served root) holding the same completed spec.
+
+    The served root also holds an overlapping tenant: the same grid
+    under another name, submitted after a resubmission of the spec.
+    """
     spec = make_spec()
     sequential_root = str(tmp_path_factory.mktemp("sequential"))
     served_root = str(tmp_path_factory.mktemp("served"))
@@ -60,9 +68,18 @@ def roots(tmp_path_factory):
         client = CampaignClient(daemon.url)
         client.submit(spec.to_dict())
         final = client.wait(_NAME, timeout=600.0)
+        client.submit(spec.to_dict())
+        resubmitted = client.wait(_NAME, timeout=600.0)
+        client.submit(dict(spec.to_dict(), name=_TENANT))
+        tenant = client.wait(_TENANT, timeout=600.0)
     assert final.state == "completed"
     assert final.executed == spec.size()
     assert final.failed == 0
+    assert (resubmitted.executed, resubmitted.cached) == (0, spec.size())
+    assert (tenant.executed, tenant.deduped) == (0, spec.size())
+    assert read_lines(served_root, _TENANT) == read_lines(served_root)
+    # The clean shutdown persisted the dedup index for the next opener.
+    assert os.path.exists(os.path.join(served_root, INDEX_FILE))
     return sequential_root, served_root
 
 

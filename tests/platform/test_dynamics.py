@@ -346,13 +346,20 @@ def test_killed_throttled_node_recovers_at_nominal_frequency():
     assert 5 not in platform.dynamics._throttled
 
 
-def test_metrics_series_records_dynamics_columns():
-    platform = _platform(
-        dvfs_governor="hysteresis", watchdog_recovery=True,
-        watchdog_timeout_us=20_000, model="ffw",
+@pytest.fixture(scope="module")
+def storm_and_kill():
+    """A random 4-node thermal storm at 50 ms and a random node kill at
+    60 ms (scripted recovery at 160 ms) on the small platform, with the
+    hysteresis governor and a 20 ms watchdog; run to the horizon."""
+    platform = CenturionPlatform(
+        PlatformConfig.small(
+            dvfs_governor="hysteresis", watchdog_recovery=True,
+            watchdog_timeout_us=20_000,
+        ),
+        model_name="ffw", seed=7,
     )
     platform.inject_scenario({
-        "name": "smoke",
+        "name": "storm-and-kill",
         "events": [
             {"kind": "thermal_storm", "at_us": 50_000, "count": 4,
              "heat_c": 40.0},
@@ -360,7 +367,27 @@ def test_metrics_series_records_dynamics_columns():
              "duration_us": 100_000},
         ],
     })
-    series = platform.run()
+    return platform, platform.run()
+
+
+def test_storm_and_kill_restore_every_node_and_recover_once(
+    storm_and_kill,
+):
+    platform, _series = storm_and_kill
+    assert platform.dynamics.throttle_events > 0
+    assert all(
+        pe.frequency.current_mhz == pe.frequency.nominal_mhz
+        for pe in platform.pes.values()
+    )
+    # One recovery in all, and the watchdog made it before the scripted
+    # path was due.
+    assert len(platform.controller.faults_recovered) == 1
+    assert platform.dynamics.autonomous_recoveries == 1
+    assert platform.controller.faults_recovered[0][0] < 160_000
+
+
+def test_metrics_series_records_dynamics_columns(storm_and_kill):
+    platform, series = storm_and_kill
     data = series.as_dict()
     assert sum(data["throttle_events"]) == platform.dynamics.throttle_events
     assert sum(data["autonomous_recoveries"]) == 1

@@ -208,3 +208,29 @@ def test_missing_python_flags_a_dangling_path(tmp_path):
     doc = tmp_path / "notes.md"
     doc.write_text("Run `{}`, not `{}`.\n".format(real, gone))
     assert checker.missing_python(str(doc)) == [gone]
+
+
+def test_docs_make_targets_exist():
+    checker = _load_link_checker()
+    missing = {
+        path: checker.missing_make_targets(path)
+        for path in checker.doc_files()
+    }
+    assert all(not names for names in missing.values()), missing
+
+
+def test_missing_make_targets_flags_an_unknown_target(tmp_path):
+    checker = _load_link_checker()
+    makefile = tmp_path / "Makefile"
+    makefile.write_text(
+        "PYTHON ?= python\n\ntest:\n\tpytest\n\n"
+        "bench-baseline:\n\tpython -m bench\n\n.PHONY: test\n"
+    )
+    doc = tmp_path / "notes.md"
+    doc.write_text(
+        "Run `make test` or `make bench-baseline`, not `make gone` "
+        "(`make bench-*` is a pattern; `make PYTHON` is no target).\n"
+    )
+    assert checker.missing_make_targets(str(doc), str(makefile)) == [
+        "gone", "PYTHON",
+    ]

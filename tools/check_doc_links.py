@@ -15,8 +15,11 @@ string literals under ``src/``, ``benchmarks/`` and ``tests/`` for
 path-like ``*.py`` names (``tests/sim/test_engine.py``,
 ``repro/noc/network.py`` — at least one ``/``) and verifies each exists
 relative to the repo root, to ``src/`` or to the naming file's
-directory.  Exits non-zero listing every dangling link or name — wired
-into ``make lint`` so a moved file breaks the build, not the docs.
+directory.  Then every backticked ``make X`` in the same docs must name
+a Makefile target (a line ``X:``; names holding ``*`` are patterns and
+skipped).  Exits non-zero listing every dangling link or name — wired
+into ``make lint`` so a moved file or a deleted target breaks the build,
+not the docs.
 
 Standard library only; run as ``python tools/check_doc_links.py`` from
 the repo root (or anywhere — paths are anchored to this file).
@@ -48,6 +51,12 @@ PY_PATH_RE = re.compile(r"[\w./-]*/[\w.-]*\w\.py\b")
 
 #: Trees whose Python sources may name Python files by path.
 PY_SOURCE_TREES = SOURCE_TREES + ("tests",)
+
+#: A backticked make invocation in the docs, e.g. `make test`.
+MAKE_RE = re.compile(r"`make ([\w*-]+)")
+
+#: Makefile target lines: ``test:``, ``bench-baseline:``.
+TARGET_RE = re.compile(r"^([\w-]+):", re.MULTILINE)
 
 
 def doc_files():
@@ -136,6 +145,18 @@ def missing_python(path):
     )
 
 
+def missing_make_targets(path, makefile=os.path.join(REPO_ROOT, "Makefile")):
+    """The backticked ``make X`` names in one markdown file that are not
+    targets of ``makefile``."""
+    with open(makefile) as handle:
+        targets = set(TARGET_RE.findall(handle.read()))
+    with open(path) as handle:
+        names = MAKE_RE.findall(handle.read())
+    return [
+        name for name in names if "*" not in name and name not in targets
+    ]
+
+
 def main():
     """Check every doc and source file; print what dangles and return 1
     on any."""
@@ -160,6 +181,11 @@ def main():
         rel = os.path.relpath(path, REPO_ROOT)
         for name in missing_python(path):
             print("{}: names missing {}".format(rel, name))
+            failures += 1
+    for path in files:
+        rel = os.path.relpath(path, REPO_ROOT)
+        for name in missing_make_targets(path):
+            print("{}: names missing make target {}".format(rel, name))
             failures += 1
     if failures:
         print("{} dangling link(s) or name(s)".format(failures),
