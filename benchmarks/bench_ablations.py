@@ -16,16 +16,13 @@ platform's layering in ``docs/architecture.md``:
   the FFW lateness signal) appears.
 """
 
-from benchmarks.harness import runs_per_cell, seed_base
-from repro.experiments.runner import default_seeds, run_batch
+from benchmarks.harness import runs_per_cell, zero_fault_results
 from repro.experiments.stats import median
 from repro.platform.config import PlatformConfig
 
 
-def _median_perf(model, config, runs, **batch_kwargs):
-    seeds = default_seeds(runs, base=seed_base())
-    results = run_batch(model, seeds, config=config, keep_series=False,
-                        **batch_kwargs)
+def _median_perf(model, config, runs):
+    results = zero_fault_results((model,), config, runs)
     return median([r.settled_performance for r in results])
 
 

@@ -6,9 +6,8 @@ graph" and proposes adaptive thresholds.  These benches quantify all three
 extensions against the evaluated system.
 """
 
-from benchmarks.harness import runs_per_cell, seed_base
+from benchmarks.harness import runs_per_cell, seed_base, zero_fault_results
 from repro.analysis.latency import LatencyCollector
-from repro.experiments.runner import default_seeds, run_batch
 from repro.experiments.stats import median
 from repro.platform.centurion import CenturionPlatform
 from repro.platform.config import PlatformConfig
@@ -19,8 +18,7 @@ def _runs():
 
 
 def _median_settled(model, config):
-    seeds = default_seeds(_runs(), base=seed_base())
-    results = run_batch(model, seeds, config=config, keep_series=False)
+    results = zero_fault_results((model,), config, _runs())
     return median([r.settled_performance for r in results])
 
 

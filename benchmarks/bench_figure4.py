@@ -14,17 +14,21 @@ Reproduction targets per panel:
   baseline mapping);
 * the task-census panels stay near the 1:3:1 ratio (~25/75/25 nodes
   on the 128-node grid) and step down at the fault.
+
+The six runs go through the campaign executor, the same path as the
+CLI's ``figure4``.
 """
 
 import pytest
 
-from repro.experiments.figures import figure4, render_figure4
-from repro.platform.config import PlatformConfig
+from repro.campaign import paper
+from repro.campaign.executor import run_campaign
+from repro.experiments.figures import render_figure4
 
 
 @pytest.fixture(scope="module")
 def figure4_data():
-    return figure4(config=PlatformConfig(), seed=1000)
+    return paper.artifact(run_campaign(paper.figure4_spec(seed=1000)))
 
 
 def _mean(values):

@@ -36,7 +36,10 @@ _SRC = os.path.join(_REPO_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.experiments.runner import default_seeds, run_batch
+from repro.campaign.executor import run_campaign
+from repro.campaign.spec import CampaignSpec
+from repro.experiments.runner import default_seeds
+from repro.platform.config import PlatformConfig
 
 #: Repo root (this file lives in benchmarks/).
 REPO_ROOT = _REPO_ROOT
@@ -96,21 +99,32 @@ def run_micro_benchmarks():
     }
 
 
+def zero_fault_results(models, config, runs):
+    """Zero-fault results of ``models`` over ``runs`` canonical seeds.
+
+    The cells run as one campaign through
+    :func:`~repro.campaign.executor.run_campaign`, the CLI's path, in
+    grid order (model-major, then seeds); ``REPRO_PROCESSES`` sets the
+    worker count.
+    """
+    spec = CampaignSpec(
+        name="bench-sweep",
+        models=tuple(models),
+        seeds=tuple(default_seeds(runs, base=seed_base())),
+        config=config,
+    )
+    return run_campaign(spec).results
+
+
 def run_short_sweep(models=("none", "foraging_for_work"), seeds=2):
     """Time a miniature table sweep; returns wall seconds.
 
-    A couple of small-platform batch runs exercise the full stack the way
+    A couple of small-platform cells exercise the full stack the way
     Tables I/II do (construction + run + analysis per seed), so sweep-level
     regressions that the microbenchmarks miss still show up here.
     """
-    from repro.platform.config import PlatformConfig
-
-    config = PlatformConfig.small()
-    seed_list = default_seeds(seeds, base=seed_base())
     start = time.perf_counter()
-    for model in models:
-        run_batch(model, seed_list, faults=0, config=config,
-                  keep_series=False)
+    zero_fault_results(models, PlatformConfig.small(), seeds)
     return time.perf_counter() - start
 
 

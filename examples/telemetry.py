@@ -9,11 +9,13 @@ the analysis toolkit to show what happened:
   the task topology"),
 * activity, switch and temperature heatmaps,
 * per-task packet latency statistics,
-* CSV export of the metric series for external plotting.
+* CSV export of the metric series for external plotting (into a
+  temporary directory that is removed when the example exits).
 
 Run:  python examples/telemetry.py          (about 5 s)
 """
 
+import os
 import tempfile
 
 from repro import CenturionPlatform, PlatformConfig
@@ -63,13 +65,14 @@ def main():
             )
         )
 
-    with tempfile.NamedTemporaryFile(
-        mode="w", suffix=".csv", delete=False
-    ) as handle:
-        path = handle.name
-    rows = series_to_csv(series, path)
-    print()
-    print("Exported {} metric windows to {}".format(rows, path))
+    # The CSV lives in a temporary directory removed when the example
+    # exits; point the path elsewhere to keep the file.
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "telemetry.csv")
+        rows = series_to_csv(series, path)
+        print()
+        print("Exported {} metric windows ({} bytes of CSV)".format(
+            rows, os.path.getsize(path)))
     print("Joins per window, last 10:", series.joins[-10:])
 
 

@@ -12,16 +12,18 @@ allocation and fault recovery.  Quickstart:
 >>> series = platform.run()       # doctest: +SKIP
 >>> series.active_nodes[-1]       # doctest: +SKIP
 
-See README.md for the architecture overview and docs/architecture.md
-for the contracts.  The paper's qualitative claims are checked at paper
-scale by ``benchmarks/bench_table1.py``, ``bench_table2.py`` and
+A sweep of seeded runs is a :class:`CampaignSpec` run by
+:func:`run_campaign`; ``run_single`` is one run.  See README.md for the
+architecture overview and docs/architecture.md for the contracts.  The
+paper's qualitative claims are checked at paper scale by
+``benchmarks/bench_table1.py``, ``bench_table2.py`` and
 ``bench_figure4.py``; ``tests/experiments/golden/`` pins the rows.
 """
 
 from repro.platform.centurion import CenturionPlatform
 from repro.platform.config import PlatformConfig
 from repro.core.models import MODEL_REGISTRY, create_model
-from repro.experiments.runner import run_batch, run_single
+from repro.experiments.runner import run_single
 from repro.campaign import CampaignSpec, run_campaign
 
 __version__ = "1.0.0"
@@ -32,7 +34,6 @@ __all__ = [
     "MODEL_REGISTRY",
     "create_model",
     "run_single",
-    "run_batch",
     "CampaignSpec",
     "run_campaign",
     "__version__",

@@ -6,12 +6,14 @@ pending, resolves pending cells a *sibling* campaign already computed
 through the store root's dedup index (``dedup_root`` — the reused record
 is copied into this campaign's store byte-identically), optionally keeps
 only this worker's deterministic shard of what remains
-(``workers``/``worker_id``), streams the rest through
+(``workers``/``worker_id``), streams the remaining descriptors through
 :func:`repro.experiments.runner.iter_runs` (chunked ``imap`` over a
-multiprocessing pool, ordered collection, failures wrapped with their
-``(model, seed, faults)`` context), and checkpoints each finished cell to
-the store *as it completes* — killing a sweep and re-running it resumes
-exactly where it stopped.
+multiprocessing pool, ordered collection, a failing cell raised as a
+:class:`~repro.experiments.runner.RunError` that names its descriptor),
+and checkpoints each finished cell to the store *as it completes* —
+killing a sweep and re-running it resumes exactly where it stopped.
+The CLI's sweeps and the paper benches all run through
+:func:`run_campaign`.
 """
 
 import dataclasses
@@ -184,7 +186,7 @@ def run_campaign(spec, store=None, processes=None, progress=None,
             progress(done, total, cached)
         for (descriptor, key), result in zip(
             pending,
-            iter_runs([d.job() for d, _k in pending], processes=processes),
+            iter_runs([d for d, _k in pending], processes=processes),
         ):
             if store is not None:
                 store.save_result(descriptor, result, key=key)

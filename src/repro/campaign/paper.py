@@ -9,7 +9,6 @@ panel data the formatters consume.  The CLI's ``table1``/``table2``/
 """
 
 from repro.campaign.spec import CampaignSpec
-from repro.experiments.figures import FIGURE4_FAULTS, FIGURE4_MODELS
 from repro.experiments.runner import default_seeds
 from repro.experiments.tables import table1_from_runs, table2_from_runs
 from repro.platform.config import PlatformConfig
@@ -19,6 +18,9 @@ MODELS = ("none", "network_interaction", "foraging_for_work")
 
 #: Paper fault counts for Table II.
 TABLE2_FAULTS = (0, 2, 4, 8, 16, 32)
+
+#: The paper's two fault scenarios for Figure 4.
+FIGURE4_FAULTS = (5, 42)
 
 
 def table1_spec(runs=15, seed_base=1000, config=None, models=MODELS):
@@ -54,7 +56,7 @@ def table2_spec(runs=15, fault_counts=TABLE2_FAULTS, seed_base=1000,
 
 
 def figure4_spec(seed=42, config=None, faults=FIGURE4_FAULTS,
-                 models=FIGURE4_MODELS):
+                 models=MODELS):
     """Figure 4 as a campaign: six full-series runs at one seed."""
     return CampaignSpec(
         name="figure4",

@@ -75,6 +75,7 @@ from repro.campaign.store import (
     encode_result,
     record_satisfies,
 )
+from repro.experiments.runner import run_cell
 
 #: Default TCP port of ``campaign serve`` (0 = ephemeral).
 DEFAULT_PORT = 8642
@@ -99,13 +100,6 @@ class BadRequest(Exception):
     def body(self):
         """The structured error payload (every 4xx uses this shape)."""
         return {"error": {"type": self.kind, "message": self.message}}
-
-
-def default_run_fn(descriptor):
-    """Execute one cell the way ``run_campaign`` does (``run_single``)."""
-    from repro.experiments.runner import run_single
-
-    return run_single(*descriptor.job())
 
 
 class _Campaign:
@@ -176,7 +170,8 @@ class CampaignServer:
         ``shard_of(key, workers)``, so one worker owns each key.
     run_fn:
         ``run_fn(descriptor) -> RunResult`` executing one cell
-        (default: :func:`default_run_fn`).  Tests inject fakes here;
+        (default: :func:`~repro.experiments.runner.run_cell`, the cell
+        runner ``run_campaign``'s sweeps use).  Tests inject fakes here;
         the byte contract only constrains how results are *encoded*.
     host / port:
         Bind address.  ``port=0`` picks an ephemeral port; the bound
@@ -188,7 +183,7 @@ class CampaignServer:
         self.root = root
         os.makedirs(root, exist_ok=True)
         self.workers = max(1, int(workers))
-        self.run_fn = run_fn if run_fn is not None else default_run_fn
+        self.run_fn = run_fn if run_fn is not None else run_cell
         self.started_at = time.time()
         self._registry = {}
         self._registry_lock = threading.Lock()

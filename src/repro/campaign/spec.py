@@ -105,7 +105,11 @@ class RunDescriptor:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def job(self):
-        """The ``repro.experiments.runner`` job tuple for this cell."""
+        """This cell's positional ``run_single`` arguments.
+
+        :func:`~repro.experiments.runner.run_cell` is the one caller in
+        the library.
+        """
         return (
             self.model,
             self.seed,

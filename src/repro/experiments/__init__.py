@@ -1,14 +1,18 @@
 """Experiment harness.
 
-Reproduces the paper's evaluation: independent seeded runs, settling- and
-recovery-time detection, quartile statistics, and re-generators for Table I,
-Table II and Figure 4.
+The run harness under the paper's evaluation: one seeded run
+(``run_single``), the cell runner and ordered sweep iterator that
+:func:`repro.campaign.run_campaign` drives (``runner.run_cell``,
+``runner.iter_runs``), settling- and recovery-time detection, quartile
+statistics, and the Table I/II rows and Figure 4 panels rendered from
+finished runs.  The sweeps themselves are campaigns
+(:mod:`repro.campaign.paper` builds the paper's); the command-line
+interface (``repro.experiments.cli``) sits on top of both packages.
 """
 
 from repro.experiments.runner import (
     RunError,
     RunResult,
-    run_batch,
     run_single,
 )
 from repro.experiments.settling import (
@@ -22,13 +26,12 @@ from repro.experiments.tables import (
     table1,
     table2,
 )
-from repro.experiments.figures import figure4, render_series
+from repro.experiments.figures import render_series
 
 __all__ = [
     "RunError",
     "RunResult",
     "run_single",
-    "run_batch",
     "steady_state_time",
     "settling_analysis",
     "recovery_analysis",
@@ -37,6 +40,5 @@ __all__ = [
     "table1",
     "table2",
     "format_table",
-    "figure4",
     "render_series",
 ]

@@ -139,11 +139,6 @@ def build_parser():
     )
     run_p.add_argument("--small", action="store_true",
                        help="4x4 grid instead of full Centurion")
-    run_p.add_argument(
-        "--processes", type=int, default=None, metavar="N",
-        help="worker processes for sweeps (a single run ignores this; "
-             "default: REPRO_PROCESSES, then cpu count)",
-    )
     run_p.add_argument("--json", metavar="FILE")
 
     t1_p = subparser("table1", help="settling/performance, no faults")
@@ -477,42 +472,51 @@ def cmd_run(args):
     return 0
 
 
+def _print_artefact(report, json_path):
+    """Print a finished campaign's artefact; dump it to ``json_path``.
+
+    Tables print in the paper's layout, Figure 4 as text panels (its
+    JSON holds each panel's series) and any other grid as one JSON row
+    per cell.
+    """
+    artefact = paper.artifact(report)
+    kind = report.spec.kind
+    if kind in ("table1", "table2"):
+        print(format_table(artefact, kind))
+    elif kind == "figure4":
+        print(render_figure4(artefact))
+        artefact = {
+            str(faults): {
+                model: result.series.as_dict()
+                for model, result in by_model.items()
+            }
+            for faults, by_model in artefact.items()
+        }
+    else:
+        for row in artefact:
+            print(json.dumps(row, sort_keys=True))
+    _dump_json(json_path, artefact)
+
+
 def cmd_table1(args):
     """``table1`` subcommand: regenerate Table I as a campaign."""
-    report = _run_spec(paper.table1_spec(runs=args.runs), args)
-    rows = paper.artifact(report)
-    print(format_table(rows, "table1"))
-    _dump_json(args.json, rows)
+    spec = paper.table1_spec(runs=args.runs)
+    _print_artefact(_run_spec(spec, args), args.json)
     return 0
 
 
 def cmd_table2(args):
     """``table2`` subcommand: regenerate Table II as a campaign."""
     fault_counts = [int(f) for f in args.faults.split(",")]
-    report = _run_spec(
-        paper.table2_spec(runs=args.runs, fault_counts=fault_counts), args
-    )
-    rows = paper.artifact(report)
-    print(format_table(rows, "table2"))
-    _dump_json(args.json, rows)
+    spec = paper.table2_spec(runs=args.runs, fault_counts=fault_counts)
+    _print_artefact(_run_spec(spec, args), args.json)
     return 0
 
 
 def cmd_figure4(args):
     """``figure4`` subcommand: render the six panels as a campaign."""
-    report = _run_spec(paper.figure4_spec(seed=args.seed), args)
-    data = paper.artifact(report)
-    print(render_figure4(data))
-    _dump_json(
-        args.json,
-        {
-            str(faults): {
-                model: result.series.as_dict()
-                for model, result in by_model.items()
-            }
-            for faults, by_model in data.items()
-        },
-    )
+    spec = paper.figure4_spec(seed=args.seed)
+    _print_artefact(_run_spec(spec, args), args.json)
     return 0
 
 
@@ -661,26 +665,7 @@ def cmd_campaign(args):
             file=sys.stderr,
         )
         return 0
-    artefact = paper.artifact(report)
-    if spec.kind in ("table1", "table2"):
-        print(format_table(artefact, spec.kind))
-        _dump_json(args.json, artefact)
-    elif spec.kind == "figure4":
-        print(render_figure4(artefact))
-        _dump_json(
-            args.json,
-            {
-                str(faults): {
-                    model: result.series.as_dict()
-                    for model, result in by_model.items()
-                }
-                for faults, by_model in artefact.items()
-            },
-        )
-    else:
-        for row in artefact:
-            print(json.dumps(row, sort_keys=True))
-        _dump_json(args.json, artefact)
+    _print_artefact(report, args.json)
     return 0
 
 

@@ -1,49 +1,14 @@
-"""Figure 4 re-generator.
+"""Figure 4 rendering.
 
 Figure 4 shows, for 5-fault and 42-fault injections and each of the three
 models, two time-series panels over 0–1000 ms: application throughput
 (nodes active) and the task distribution (nodes per task, whose settled
-levels are the ≈ 25/75/25 of the 1:3:1 census).  ``figure4`` runs the six
-simulations and returns the series; ``render_series`` draws any series as
-an ASCII strip chart so the benches can display the reproduced shapes in a
-terminal.
+levels are the ≈ 25/75/25 of the 1:3:1 census).  The six runs are a
+campaign (:func:`repro.campaign.paper.figure4_spec`, assembled by
+:func:`repro.campaign.paper.artifact`); this module only draws them.
+``render_series`` draws any series as an ASCII strip chart so the CLI
+and the benches can display the reproduced shapes in a terminal.
 """
-
-from repro.core.models.registry import resolve_model_name
-
-#: The paper's two fault scenarios for Figure 4.
-FIGURE4_FAULTS = (5, 42)
-FIGURE4_MODELS = ("none", "network_interaction", "foraging_for_work")
-
-
-def figure4(config=None, seed=42, faults=FIGURE4_FAULTS,
-            models=FIGURE4_MODELS, processes=None, store=None):
-    """Run the Figure 4 scenarios (as a campaign under the hood).
-
-    Returns ``{fault_count: {model: RunResult}}`` with full series kept,
-    keyed by the model names *as passed* (aliases preserved).  ``store``
-    (a directory path) checkpoints the six runs and skips completed
-    ones on re-runs; ``processes`` fans them out across workers.
-    """
-    # Imported lazily: repro.campaign.paper imports this module's
-    # constants at load time.
-    from repro.campaign.executor import run_campaign
-    from repro.campaign.paper import figure4_data, figure4_spec
-
-    spec = figure4_spec(
-        seed=seed, config=config, faults=faults, models=models
-    )
-    report = run_campaign(spec, store=store, processes=processes)
-    canonical = figure4_data(report)
-    requested = {model: resolve_model_name(model) for model in models}
-    return {
-        fault_count: {
-            model: canonical[fault_count][requested[model]]
-            for model in models
-        }
-        for fault_count in faults
-    }
-
 
 def render_series(times_ms, values, height=8, width=72, title="",
                   marker="*"):

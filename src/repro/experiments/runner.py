@@ -1,11 +1,15 @@
-"""Run harness: single runs, seeded batches, and their analyses.
+"""Run harness: single runs and the one sweep path.
 
 ``run_single`` executes one Centurion simulation (model × seed × fault
-count) and extracts everything Tables I/II and Figure 4 need;
-``iter_runs`` streams job tuples through an optional multiprocessing
-pool (chunked ``imap``, ordered, failures wrapped with their cell
-context), and ``run_batch`` is the thin seed-sweep wrapper the campaign
-engine (:mod:`repro.campaign`) and the benches share.
+count) and extracts everything Tables I/II and Figure 4 need.
+``run_cell`` runs one campaign cell
+(:class:`~repro.campaign.spec.RunDescriptor`) through it, and
+``iter_runs`` streams cells through an optional multiprocessing pool
+(chunked ``imap``, ordered, a failure raised as :class:`RunError`
+naming its cell).  :func:`repro.campaign.executor.run_campaign` drives
+``iter_runs`` for the CLI's sweeps and the paper benches, and
+``campaign serve`` runs its cells through ``run_cell``.  This module
+imports nothing from :mod:`repro.campaign`.
 """
 
 import dataclasses
@@ -181,50 +185,45 @@ def run_single(model_name, seed, faults=0, config=None,
 
 
 class RunError(RuntimeError):
-    """A run failed; carries its ``(model, seed, faults)`` cell context.
+    """A cell failed; carries the failing cell's ``descriptor``.
 
-    Raised on the *collecting* side of a sweep, so a failing seed inside
-    a worker process reports which cell died instead of a bare pickled
-    traceback out of the pool.  ``details`` holds the worker's formatted
-    traceback.
+    Raised on the *collecting* side of a sweep, so a cell that dies in a
+    worker process reports which cell it was (its
+    :meth:`~repro.campaign.spec.RunDescriptor.cell`, scenario and
+    workload names included) instead of a bare pickled traceback out of
+    the pool.  ``details`` holds the worker's formatted traceback.
     """
 
-    def __init__(self, model, seed, faults, details):
+    def __init__(self, descriptor, details):
         super().__init__(
-            "run failed (model={!r}, seed={}, faults={}):\n{}".format(
-                model, seed, faults, details
-            )
+            "run failed for cell {}:\n{}".format(descriptor.cell(), details)
         )
-        self.model = model
-        self.seed = seed
-        self.faults = faults
+        self.descriptor = descriptor
         self.details = details
 
 
-class _WorkerFailure:
-    """Picklable failure payload returned from a pool worker."""
+def run_cell(descriptor):
+    """Run one campaign cell, a :class:`~repro.campaign.spec.RunDescriptor`.
 
-    __slots__ = ("model", "seed", "faults", "details")
-
-    def __init__(self, model, seed, faults, details):
-        self.model = model
-        self.seed = seed
-        self.faults = faults
-        self.details = details
+    The one place a descriptor becomes a :func:`run_single` call: the
+    sweeps of :func:`iter_runs` and ``campaign serve``'s default
+    ``run_fn`` both execute cells through it.
+    """
+    return run_single(*descriptor.job())
 
 
-def _run_single_star(job):
+def _run_or_traceback(descriptor):
+    """The cell's result, or its formatted traceback (a ``str``) if it
+    raises: a pool worker returns the failure for the parent to raise."""
     try:
-        return run_single(*job)
+        return run_cell(descriptor)
     except Exception:
-        return _WorkerFailure(job[0], job[1], job[2], traceback.format_exc())
+        return traceback.format_exc()
 
 
-def _checked(outcome):
-    if isinstance(outcome, _WorkerFailure):
-        raise RunError(
-            outcome.model, outcome.seed, outcome.faults, outcome.details
-        )
+def _checked(descriptor, outcome):
+    if isinstance(outcome, str):
+        raise RunError(descriptor, outcome)
     return outcome
 
 
@@ -239,52 +238,37 @@ def default_processes():
     return _env_processes(os.cpu_count() or 1)
 
 
-def iter_runs(jobs, processes=None, chunksize=None):
-    """Yield ``run_single`` results for job tuples, in job order.
+def iter_runs(descriptors, processes=None, chunksize=None):
+    """Yield each cell's :class:`RunResult`, in descriptor order.
 
-    Each job is a positional :func:`run_single` argument tuple,
-    ``(model, seed, faults, config, metric, keep_series, scenario,
-    workload)`` as :meth:`repro.campaign.spec.RunDescriptor.job` builds
-    it; trailing arguments may be left off (:func:`run_batch` passes the
-    first six).  ``processes``: ``None`` reads ``REPRO_PROCESSES``
-    (sequential when unset or empty); 0/1 runs sequentially; larger
-    values shard the jobs across a multiprocessing pool with chunked
-    ``imap`` — results stream back in order without materialising the
-    whole sweep in the pool at once, so callers can checkpoint as cells
-    finish.
-    Failures surface as :class:`RunError` with the cell context.
+    ``descriptors`` are :class:`~repro.campaign.spec.RunDescriptor`
+    cells, each run by :func:`run_cell`.  ``processes``: ``None`` reads
+    ``REPRO_PROCESSES`` (sequential when unset or empty); 0/1 runs
+    sequentially; larger values shard the cells across a
+    multiprocessing pool with chunked ``imap`` — results stream back in
+    order without materialising the whole sweep in the pool at once, so
+    callers can checkpoint as cells finish.  A failing cell raises
+    :class:`RunError` naming its descriptor.
     """
     if processes is None:
         processes = _env_processes(0)
-    jobs = list(jobs)
-    if processes and processes > 1 and len(jobs) > 1:
+    descriptors = list(descriptors)
+    if processes and processes > 1 and len(descriptors) > 1:
         import multiprocessing
 
         if chunksize is None:
-            chunksize = max(1, min(16, len(jobs) // (processes * 4) or 1))
+            chunksize = max(
+                1, min(16, len(descriptors) // (processes * 4) or 1)
+            )
         with multiprocessing.Pool(processes) as pool:
-            for outcome in pool.imap(_run_single_star, jobs,
-                                     chunksize=chunksize):
-                yield _checked(outcome)
+            outcomes = pool.imap(
+                _run_or_traceback, descriptors, chunksize=chunksize
+            )
+            for descriptor, outcome in zip(descriptors, outcomes):
+                yield _checked(descriptor, outcome)
     else:
-        for job in jobs:
-            yield _checked(_run_single_star(job))
-
-
-def run_batch(model_name, seeds, faults=0, config=None,
-              metric=DEFAULT_METRIC, processes=None, keep_series=False):
-    """Independent runs over ``seeds``; returns a list of RunResults.
-
-    Thin compatibility wrapper over :func:`iter_runs` (each run is
-    single-threaded and deterministic per seed, so ordering is
-    preserved).  The REPRO_PROCESSES environment variable supplies the
-    ``processes`` default.
-    """
-    jobs = [
-        (model_name, seed, faults, config, metric, keep_series)
-        for seed in seeds
-    ]
-    return list(iter_runs(jobs, processes=processes))
+        for descriptor in descriptors:
+            yield _checked(descriptor, _run_or_traceback(descriptor))
 
 
 def default_seeds(count, base=1000):

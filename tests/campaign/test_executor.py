@@ -7,7 +7,9 @@ import pytest
 from repro.campaign.executor import run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
+from repro.experiments.runner import RunError
 from repro.platform.config import PlatformConfig
+from repro.platform.scenario import FaultScenario
 
 
 @pytest.fixture
@@ -61,6 +63,32 @@ def test_interrupted_campaign_resumes(spec, tmp_path):
     report = run_campaign(spec, store=store_dir, processes=1)
     assert report.cached == 3
     assert report.executed == spec.size() - 3
+
+
+@pytest.mark.parametrize("processes", [0, 2])
+def test_failing_cell_names_itself(processes):
+    """A scenario pinning node 99 fails on the 4x4 mesh; the error must
+    name that cell, not the zero-fault cell of the same model and seed."""
+    off_mesh = FaultScenario.from_dict({
+        "name": "off-mesh",
+        "events": [{"at_us": 10_000, "victims": [99]}],
+    })
+    spec = CampaignSpec(
+        name="failing",
+        models=("none",),
+        seeds=(1,),
+        fault_counts=(0,),
+        scenarios=(off_mesh,),
+        config=PlatformConfig.small(),
+    )
+    zero_fault, failing = spec.expand()
+    assert failing.scenario is off_mesh
+    with pytest.raises(RunError) as excinfo:
+        run_campaign(spec, processes=processes)
+    assert excinfo.value.descriptor == failing
+    # The headline names the cell; the traceback below it may too.
+    headline = str(excinfo.value).splitlines()[0]
+    assert "off-mesh" in headline
 
 
 def test_fresh_recomputes_despite_store(spec, tmp_path):

@@ -104,6 +104,15 @@ def test_parser_defaults():
     assert args.seed == 42
 
 
+def test_parser_run_has_no_processes_flag(capsys):
+    """A single run has nothing to parallelise: ``run --processes`` is
+    an unknown option (argparse exit 2), not a flag it ignores."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["run", "--processes", "2"])
+    assert excinfo.value.code == 2
+    assert "--processes" in capsys.readouterr().err
+
+
 def test_parser_resume_default_directory():
     args = build_parser().parse_args(["table2", "--resume"])
     assert args.resume == "campaigns/table2"
@@ -199,6 +208,24 @@ def test_campaign_subcommand_cold_then_resumed(capsys, tmp_path):
     warm = capsys.readouterr()
     assert "0 executed, 8 cached" in warm.err
     assert warm.out == cold.out  # bit-identical artefact off the store
+
+
+def test_campaign_figure4_spec_prints_panels_and_dumps_series(capsys,
+                                                             tmp_path):
+    spec_file = tmp_path / "f4.json"
+    spec_file.write_text(json.dumps({
+        "name": "f4", "models": ["none"], "seeds": [3],
+        "fault_counts": [2], "base": "small", "kind": "figure4",
+    }))
+    out_file = tmp_path / "series.json"
+    assert main([
+        "campaign", "--spec", str(spec_file), "--dir",
+        str(tmp_path / "store"), "--processes", "0", "--json", str(out_file),
+    ]) == 0
+    assert "[2 faults] none - active_nodes" in capsys.readouterr().out
+    payload = json.loads(out_file.read_text())
+    assert list(payload) == ["2"] and list(payload["2"]) == ["none"]
+    assert "active_nodes" in payload["2"]["none"]
 
 
 def test_campaign_dedup_defaults_to_sibling_campaigns(capsys, tmp_path):

@@ -1,8 +1,10 @@
-"""Tests for the Figure 4 generator and ASCII rendering."""
+"""Tests for the Figure 4 campaign's panels and ASCII rendering."""
 
 import pytest
 
-from repro.experiments.figures import figure4, render_figure4, render_series
+from repro.campaign.executor import run_campaign
+from repro.campaign.paper import artifact, figure4_spec
+from repro.experiments.figures import render_figure4, render_series
 from repro.platform.config import PlatformConfig
 
 
@@ -30,14 +32,15 @@ class TestRenderSeries:
 class TestFigure4:
     @pytest.fixture(scope="class")
     def data(self):
-        config = PlatformConfig.small()
-        return figure4(
-            config=config, seed=3, faults=(2,), models=("none", "ffw")
+        spec = figure4_spec(
+            seed=3, config=PlatformConfig.small(), faults=(2,),
+            models=("none", "ffw"),
         )
+        return artifact(run_campaign(spec))
 
     def test_structure(self, data):
         assert set(data) == {2}
-        assert set(data[2]) == {"none", "ffw"}
+        assert set(data[2]) == {"none", "foraging_for_work"}
 
     def test_series_kept(self, data):
         result = data[2]["none"]

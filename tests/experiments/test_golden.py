@@ -23,8 +23,10 @@ import os
 import pytest
 
 from repro.app.workloads import fork_join_spec
+from repro.campaign.executor import run_campaign
+from repro.campaign.spec import CampaignSpec
 from repro.core.models.registry import MODEL_REGISTRY
-from repro.experiments.runner import run_batch, run_single
+from repro.experiments.runner import run_single
 from repro.experiments.tables import table1_from_runs, table2_from_runs
 from repro.platform.config import PlatformConfig
 from repro.platform.scenario import FaultScenario
@@ -101,15 +103,11 @@ def check_golden_entry(name, entry, payload, update):
 
 
 def _table_runs(fault_counts):
-    runs = []
-    for model in MODELS:
-        for faults in fault_counts:
-            runs.extend(
-                run_batch(
-                    model, SEEDS, faults=faults, config=CONFIG, processes=0
-                )
-            )
-    return runs
+    spec = CampaignSpec(
+        name="golden", models=MODELS, seeds=SEEDS,
+        fault_counts=fault_counts, config=CONFIG,
+    )
+    return run_campaign(spec, processes=0).results
 
 
 def test_table1_rows_match_golden(update_golden):

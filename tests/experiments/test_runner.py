@@ -4,12 +4,13 @@ import os
 
 import pytest
 
+from repro.campaign.spec import CampaignSpec, RunDescriptor
 from repro.experiments.runner import (
     RunError,
     default_processes,
     default_seeds,
     iter_runs,
-    run_batch,
+    run_cell,
     run_single,
 )
 from repro.platform.config import PlatformConfig
@@ -18,6 +19,13 @@ from repro.platform.config import PlatformConfig
 @pytest.fixture(scope="module")
 def small_config():
     return PlatformConfig.small()
+
+
+def _cells(config, seeds):
+    """Zero-fault ``none`` cells over ``seeds``, in seed order."""
+    return CampaignSpec(
+        name="runner", models=("none",), seeds=seeds, config=config
+    ).expand()
 
 
 def test_run_single_populates_fields(small_config):
@@ -55,14 +63,14 @@ def test_keep_series_false_drops_series(small_config):
     assert result.series is None
 
 
-def test_run_batch_sequential(small_config):
-    results = run_batch("none", seeds=[1, 2], config=small_config)
+def test_iter_runs_sequential(small_config):
+    results = list(iter_runs(_cells(small_config, (1, 2)), processes=0))
     assert [r.seed for r in results] == [1, 2]
     assert len({r.settled_performance for r in results}) >= 1
 
 
-def test_run_batch_resolves_alias(small_config):
-    (result,) = run_batch("ffw", seeds=[1], config=small_config)
+def test_run_cell_resolves_alias(small_config):
+    result = run_cell(RunDescriptor("ffw", 1, 0, small_config))
     assert result.model == "foraging_for_work"
 
 
@@ -90,38 +98,42 @@ def test_empty_processes_env_reads_as_unset(monkeypatch, small_config):
     CLI, a sequential sweep for the library."""
     monkeypatch.setenv("REPRO_PROCESSES", "")
     assert default_processes() == (os.cpu_count() or 1)
-    results = run_batch("none", seeds=[1, 2], config=small_config)
+    results = list(iter_runs(_cells(small_config, (1, 2))))
     assert [r.seed for r in results] == [1, 2]
 
 
-def test_run_batch_parallel_matches_sequential(small_config):
-    seeds = [1, 2, 3]
-    sequential = run_batch("none", seeds, config=small_config)
-    parallel = run_batch("none", seeds, config=small_config, processes=2)
+def test_iter_runs_parallel_matches_sequential(small_config):
+    cells = _cells(small_config, (1, 2, 3))
+    sequential = list(iter_runs(cells, processes=0))
+    parallel = list(iter_runs(cells, processes=2))
     assert [r.as_row() for r in parallel] == [
         r.as_row() for r in sequential
     ]
 
 
 def test_failing_seed_reports_cell_context(small_config):
+    cell = RunDescriptor("not_a_model", 1, 3, small_config)
     with pytest.raises(RunError) as excinfo:
-        run_batch("not_a_model", seeds=[1], faults=3, config=small_config)
+        list(iter_runs([cell], processes=0))
     err = excinfo.value
-    assert (err.model, err.seed, err.faults) == ("not_a_model", 1, 3)
-    assert "not_a_model" in str(err)
+    assert err.descriptor == cell
+    assert "('not_a_model', 1, 3)" in str(err)
     assert "KeyError" in err.details
 
 
 def test_failing_seed_reports_cell_context_parallel(small_config):
+    cells = [
+        RunDescriptor("not_a_model", seed, 0, small_config)
+        for seed in (1, 2)
+    ]
     with pytest.raises(RunError) as excinfo:
-        run_batch("not_a_model", seeds=[1, 2], config=small_config,
-                  processes=2)
-    assert excinfo.value.seed == 1
+        list(iter_runs(cells, processes=2))
+    assert excinfo.value.descriptor == cells[0]
 
 
 def test_iter_runs_streams_in_order(small_config):
-    jobs = [
-        ("none", seed, 0, small_config, "joins", False) for seed in (4, 5)
+    seen = [
+        result.seed
+        for result in iter_runs(_cells(small_config, (4, 5)), processes=0)
     ]
-    seen = [result.seed for result in iter_runs(jobs, processes=0)]
     assert seen == [4, 5]

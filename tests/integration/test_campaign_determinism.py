@@ -12,7 +12,7 @@ import pytest
 from repro.campaign.executor import run_campaign
 from repro.campaign.paper import artifact
 from repro.campaign.spec import CampaignSpec
-from repro.experiments.runner import run_batch
+from repro.experiments.runner import run_single
 from repro.experiments.tables import table2
 from repro.platform.config import PlatformConfig
 
@@ -37,11 +37,16 @@ def spec():
 
 @pytest.fixture(scope="module")
 def sequential_rows():
-    """Table II rows off the plain seed path (no campaign machinery)."""
+    """Table II rows off plain ``run_single`` calls (no campaign
+    machinery, no sweep iterator)."""
     results = {
-        (model, faults): run_batch(
-            model, _SEEDS, faults=faults, config=_CONFIG, processes=0
-        )
+        (model, faults): [
+            run_single(
+                model, seed, faults=faults, config=_CONFIG,
+                keep_series=False,
+            )
+            for seed in _SEEDS
+        ]
         for model in _MODELS
         for faults in _FAULTS
     }
@@ -70,7 +75,6 @@ def test_cache_hit_campaign_is_bit_identical(spec, sequential_rows,
 def test_interrupted_campaign_resumes_bit_identical(spec, sequential_rows,
                                                     tmp_path):
     from repro.campaign.store import ResultStore
-    from repro.experiments.runner import run_single
 
     store_dir = str(tmp_path)
     descriptors = spec.expand()

@@ -58,11 +58,13 @@ def test_fault_tolerance(capsys):
 
 @pytest.mark.slow
 def test_telemetry(capsys, monkeypatch, tmp_path):
-    # The example exports its series to a temp CSV it keeps for the user.
+    # The example exports its series to a CSV in the temp directory and
+    # must remove it again: nothing is left behind in tmp_path.
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     out = run_example("telemetry.py", capsys)
     assert "Packet latency by destination task" in out
     assert "Exported 100 metric windows" in out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_example_is_tested():

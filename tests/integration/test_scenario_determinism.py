@@ -21,7 +21,7 @@ import pytest
 
 from repro.campaign.executor import run_campaign
 from repro.campaign.spec import CampaignSpec, RunDescriptor
-from repro.experiments.runner import run_batch, run_single
+from repro.experiments.runner import run_single
 from repro.experiments.settling import recovery_analysis, settling_analysis
 from repro.platform.centurion import CenturionPlatform
 from repro.platform.config import PlatformConfig
@@ -125,12 +125,12 @@ def test_legacy_campaign_rows_bit_identical_to_seed_path(tmp_path):
         config=_CONFIG,
     )
     sequential = [
-        result.as_row()
+        run_single(
+            model, seed, faults=faults, config=_CONFIG, keep_series=False
+        ).as_row()
         for model in spec.models
         for faults in spec.fault_counts
-        for result in run_batch(
-            model, spec.seeds, faults=faults, config=_CONFIG, processes=0
-        )
+        for seed in spec.seeds
     ]
     cold = run_campaign(spec, store=str(tmp_path), processes=2)
     warm = run_campaign(spec, store=str(tmp_path), processes=2)
