@@ -22,10 +22,12 @@ Task-addressed delivery works like this:
 Hot-path notes
 --------------
 Every hop is one kernel event: ``_arrive`` processes a packet's arrival
-at a router and posts the next arrival through the handle-less
-:meth:`repro.sim.engine.Simulator.post_at`.  Per-hop link claims, router
-counters, observer notifications and model reactions therefore all
-happen at their exact hop timestamps, in kernel dispatch order.
+at a router and posts the next arrival through
+:meth:`repro.sim.engine.Simulator.schedule_at`.  That is the only way a
+packet moves, injections and multicast first hops included.  Per-hop
+link claims, router counters, observer notifications and model reactions
+therefore all happen at their exact hop timestamps, in kernel dispatch
+order.
 
 Per-hop lookups are precomputed: ``_hop_table[node][direction]`` holds the
 ``(neighbor, link, entry port)`` triple, replacing topology math, link dict
@@ -327,8 +329,13 @@ class Network:
 
     # -- sending ---------------------------------------------------------------------
 
-    def send(self, packet, from_node):
+    def send(self, packet, from_node, siblings=None):
         """Inject ``packet`` at ``from_node``'s router, resolving a provider.
+
+        ``siblings`` is the set of providers the packet's multicast
+        siblings already took (see :meth:`send_multicast`): the packet
+        takes the nearest provider outside it while one exists, else the
+        nearest, and its own provider joins the set.
 
         Returns True if the packet entered the network (or was delivered
         locally), False if it was dropped immediately for lack of provider
@@ -340,11 +347,20 @@ class Network:
         if from_node in self.failed_nodes:
             self._drop(packet, PacketStatus.DROPPED_FAULT)
             return False
-        dest = self.directory.nearest_provider(from_node, packet.dest_task)
+        dest = None
+        if siblings:
+            dest = self.directory.nearest_provider(
+                from_node, packet.dest_task, exclude=siblings
+            )
+        if dest is None:
+            # No siblings, or they took every provider: reuse the nearest.
+            dest = self.directory.nearest_provider(from_node, packet.dest_task)
         if dest is None:
             self._drop(packet, PacketStatus.DROPPED_NO_PROVIDER,
                        at_node=from_node)
             return False
+        if siblings is not None:
+            siblings.add(dest)
         packet.dest_node = dest
         self._arrive(packet, from_node)
         return True
@@ -357,42 +373,12 @@ class Network:
         branches of one instance leave together and must not all pile onto
         the same provider, so the k-th packet resolves to the k-th nearest
         provider of its task.  Falls back to reusing providers when fewer
-        than ``len(packets)`` exist.  Returns the number of packets that
+        than ``len(packets)`` exist.  Each packet is one :meth:`send`
+        sharing a sibling set.  Returns the number of packets that
         entered the network.
-
-        The siblings' first-hop events are bulk-inserted through
-        :meth:`repro.sim.engine.Simulator.schedule_many_at` — one batch
-        per generated instance instead of one heap push per branch.
         """
-        chosen = set()
-        entered = 0
-        first_hops = []
-        for packet in packets:
-            self.stats["sent"] += 1
-            packet.status = PacketStatus.IN_FLIGHT
-            packet.delivered_at = None
-            if from_node in self.failed_nodes:
-                self._drop(packet, PacketStatus.DROPPED_FAULT)
-                continue
-            dest = self.directory.nearest_provider(
-                from_node, packet.dest_task, exclude=chosen
-            )
-            if dest is None:
-                # Fewer healthy providers than branches: reuse the nearest.
-                dest = self.directory.nearest_provider(
-                    from_node, packet.dest_task
-                )
-            if dest is None:
-                self._drop(packet, PacketStatus.DROPPED_NO_PROVIDER,
-                           at_node=from_node)
-                continue
-            chosen.add(dest)
-            packet.dest_node = dest
-            self._arrive(packet, from_node, defer=first_hops)
-            entered += 1
-        if first_hops:
-            self.sim.schedule_many_at(first_hops)
-        return entered
+        siblings = set()
+        return sum(self.send(packet, from_node, siblings) for packet in packets)
 
     def redirect(self, packet, from_node, exclude=()):
         """Divert an in-network packet toward another provider.
@@ -422,7 +408,7 @@ class Network:
 
     # -- hop engine ---------------------------------------------------------------------
 
-    def _arrive(self, packet, node, in_port=None, defer=None):
+    def _arrive(self, packet, node, in_port=None):
         """Packet is at ``node``'s router at the current simulation time.
 
         Called directly on injection (send / multicast / redirect /
@@ -431,9 +417,7 @@ class Network:
         through.  The next hop is always a real event: the caller's
         enclosing callback may still have same-time work to do (a PE
         completion emitting several packets, a task switch requeueing a
-        buffer).  With ``defer`` set, the hop event is appended to the
-        list as a ``(time, callback)`` pair instead of scheduled — used by
-        multicast to bulk-insert sibling first hops.
+        buffer).
         """
         if not packet.in_flight:
             return
@@ -447,13 +431,10 @@ class Network:
         if step is None:
             return
         neighbor, in_port, arrival_time = step
-        callback = (
-            lambda p=packet, n=neighbor, d=in_port: self._arrive(p, n, d)
+        self.sim.schedule_at(
+            arrival_time,
+            lambda p=packet, n=neighbor, d=in_port: self._arrive(p, n, d),
         )
-        if defer is None:
-            self.sim.post_at(arrival_time, callback)
-        else:
-            defer.append((arrival_time, callback))
 
     def _route_step(self, packet, node):
         """One router's worth of forwarding work at the current time.

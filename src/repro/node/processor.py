@@ -13,6 +13,11 @@ The PE raises the node-local monitor events of Figure 2a toward its
 observers (the AIM): internal packet sink, execution completion and task
 change.  Its knobs — task select, clock enable, reset, frequency — are plain
 methods the AIM calls.
+
+Each service is one fire-and-forget kernel event, which cannot be
+cancelled.  A halt or reset interrupts the service in progress by bumping
+the PE's service epoch instead: the completion still fires, sees a stale
+epoch and returns, so the packet it carried never executes.
 """
 
 from collections import deque
@@ -60,6 +65,9 @@ class ProcessingElement:
         self.task_id = None
         self.queue = deque()
         self.busy = False
+        #: Bumped by ``halt()`` and ``reset()``; a completion posted under
+        #: an older epoch returns without effect.
+        self._service_epoch = 0
         self.halted = False
         self.clock_enabled = True
         self.frequency = FrequencyScaler()
@@ -189,17 +197,27 @@ class ProcessingElement:
             self._try_start()
 
     def reset(self):
-        """Reset knob: drop in-progress state, keep the task assignment."""
+        """Reset knob: drop in-progress state, keep the task assignment.
+
+        The packet in service is dropped with the queue: its completion
+        is stranded and never executes.
+        """
         self.queue.clear()
         self.busy = False
+        self._service_epoch += 1
         self._gen_seq = 0
         if self.task_id is not None:
             self._configure_generation()
 
     def halt(self):
-        """Hard fault: the node stops (used by fault injection)."""
+        """Hard fault: the node stops (used by fault injection).
+
+        The packet in service dies with the node: its completion is
+        stranded, even if the node restarts before it lands.
+        """
         self.halted = True
         self.busy = False
+        self._service_epoch += 1
         self.queue.clear()
         self.network.directory.set_task(self.node_id, None)
         if self._gen_process is not None:
@@ -267,7 +285,7 @@ class ProcessingElement:
         packet.reroutes += 1
         packet.mark_tried(self.node_id)
         node = self.node_id
-        self.sim.post(
+        self.sim.schedule(
             self.overflow_hold_us,
             lambda p=packet, n=node: self.network.redirect(
                 p, n, exclude=p.tried_providers()
@@ -305,15 +323,16 @@ class ProcessingElement:
         nominal = self.app.service_time(self.task_id)
         duration = self._service_duration(nominal)
         self.busy = True
-        # Fire-and-forget: completions are never cancelled (halt() checks
-        # inside _complete), so skip the event-handle allocation.
-        self.sim.post(
-            duration, lambda p=packet, d=duration: self._complete(p, d)
+        self.sim.schedule(
+            duration,
+            lambda p=packet, d=duration, e=self._service_epoch: (
+                self._complete(p, d, e)
+            ),
         )
 
-    def _complete(self, packet, duration):
-        if self.halted:
-            return
+    def _complete(self, packet, duration, epoch):
+        if epoch != self._service_epoch:
+            return  # halted or reset since this service started
         self.busy = False
         self.completions += 1
         self.window_executions += 1

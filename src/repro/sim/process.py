@@ -1,18 +1,15 @@
-"""Recurring and delayed processes on top of the event kernel.
+"""Recurring processes on top of the event kernel.
 
 :class:`PeriodicProcess` models things that tick at a fixed period — the
-task-1 packet sources (every 4 ms), the AIM timer ticks (every 2 ms per
-node), the metric sampler (every 10 ms).  It reschedules itself after each
-tick and can be stopped and restarted; restarting re-aligns the phase to
-"now + period".
+task-1 packet sources (every 4 ms), the shared AIM timer tick of
+:mod:`repro.core.aim` (every 2 ms), the metric sampler (every 10 ms).  It
+reschedules itself after each tick and can be stopped and restarted;
+restarting re-aligns the phase to "now + period".
 
-Periodic ticks recur for the whole run (packet sources, the shared AIM
-tick bank of :mod:`repro.core.aim`, the metric sampler), so the tick
-train is built for the kernel's cheapest path: each ``start()`` creates
-one closure that re-posts itself through the handle-less
-:meth:`repro.sim.engine.Simulator.post`, and stopping is an epoch bump
-that strands the in-flight tick as a no-op instead of allocating and
-tombstoning cancellable events.
+Each ``start()`` creates one closure that re-posts itself through
+:meth:`repro.sim.engine.Simulator.schedule`.  The kernel cannot cancel an
+event, so stopping is an epoch bump that strands the in-flight tick: it
+fires and returns without effect.
 """
 
 
@@ -73,10 +70,10 @@ class PeriodicProcess:
             delay = self.period
             if self._jittered:
                 delay += self.jitter_rng.randrange(0, self.jitter + 1)
-            sim.post(delay, tick, priority)
+            sim.schedule(delay, tick, priority)
 
         delay = self.period if initial_delay is None else int(initial_delay)
-        sim.post(delay + self._draw_jitter(), tick, priority)
+        sim.schedule(delay + self._draw_jitter(), tick, priority)
         return self
 
     def stop(self):
@@ -94,10 +91,3 @@ class PeriodicProcess:
         if not self._jittered:
             return 0
         return self.jitter_rng.randrange(0, self.jitter + 1)
-
-
-def delayed_call(sim, delay, callback, priority=None):
-    """Schedule a one-shot ``callback()`` after ``delay`` µs; returns handle."""
-    if priority is None:
-        priority = sim.PRIORITY_NORMAL
-    return sim.schedule(delay, callback, priority=priority)

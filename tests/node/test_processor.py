@@ -235,6 +235,29 @@ class TestKnobsAndFaults:
         assert len(pes[5].queue) == 0
         assert pes[5].task_id == 2
 
+    @pytest.mark.parametrize("interrupt", ["halt-restart", "reset"])
+    def test_interrupted_service_never_completes(self, harness, interrupt):
+        # A halt, with the node back before the old completion lands, or
+        # a reset drops the packet in service: it must never execute, and
+        # the next packet keeps its own service slot.
+        sim, _net, app, pes = harness
+        app.service_us = 1000
+        pe = pes[5]
+        pe.set_task(2)
+        dead, fresh = _packet(), _packet()
+        pe.receive(dead)
+        if interrupt == "reset":
+            sim.schedule_at(100, pe.reset)
+        else:
+            sim.schedule_at(100, pe.halt)
+            sim.schedule_at(200, lambda: (pe.restart(), pe.set_task(2)))
+        sim.schedule_at(300, lambda: pe.receive(fresh))
+        sim.run_until(1299)
+        assert pe.completions == 0
+        sim.run_until(5000)
+        assert [pid for (_n, _t, pid) in app.executed] == [fresh.packet_id]
+        assert pe.completions == 1
+
 
 class TestObservers:
     def test_sink_and_completion_events(self, harness, recording_observer):

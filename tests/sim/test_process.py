@@ -1,8 +1,8 @@
-"""Tests for periodic processes and delayed calls."""
+"""Tests for periodic processes."""
 
 import pytest
 
-from repro.sim.process import PeriodicProcess, delayed_call
+from repro.sim.process import PeriodicProcess
 
 
 def test_ticks_at_fixed_period(sim):
@@ -85,18 +85,3 @@ def test_running_property(sim):
     assert process.running
     process.stop()
     assert not process.running
-
-
-def test_delayed_call_fires_once(sim):
-    seen = []
-    delayed_call(sim, 42, lambda: seen.append(sim.now))
-    sim.run_until(1000)
-    assert seen == [42]
-
-
-def test_delayed_call_cancellable(sim):
-    seen = []
-    handle = delayed_call(sim, 42, lambda: seen.append(sim.now))
-    handle.cancel()
-    sim.run_until(1000)
-    assert seen == []
