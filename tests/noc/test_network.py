@@ -5,6 +5,7 @@ import pytest
 from repro.noc.network import Network
 from repro.noc.packet import Packet, PacketStatus
 from repro.noc.topology import MeshTopology
+from repro.sim.engine import Simulator
 
 
 @pytest.fixture
@@ -225,10 +226,83 @@ def test_multicast_hops_are_one_kernel_event_each(net, sim):
         net.directory.set_task(provider, 2)
     packets = [Packet(0, dest_task=2, branch=b) for b in range(3)]
     assert net.send_multicast(packets, 0) == 3
-    # The three first hops are claimed at once and bulk-posted.
+    # The three first hops are claimed at once, one posted event each.
     assert [p.hops for p in packets] == [1, 1, 1]
     assert (sim.pending_events, sim.dispatched_events) == (3, 0)
     sim.run_until(10_000)
     assert all(p.status == PacketStatus.DELIVERED for p in packets)
     # 2 + 3 + 4 hops to nodes 5, 6 and 10; shared-channel waits add none.
     assert sim.dispatched_events == net.stats["hops"] == 9
+
+
+def _providers(net, *nodes, task=2):
+    for node in nodes:
+        net.directory.set_task(node, task)
+
+
+def test_send_with_siblings_skips_providers_already_taken(net, sim):
+    _providers(net, 5, 6, 10)  # 2, 3 and 4 hops from node 0
+    siblings = {5}
+    packet = Packet(0, dest_task=2)
+    assert net.send(packet, 0, siblings)
+    assert packet.dest_node == 6
+    assert siblings == {5, 6}
+    sim.run_until(10_000)
+    assert net.delivered_log == [(packet, 6)]
+
+
+def test_send_with_siblings_reuses_nearest_when_all_taken(net):
+    _providers(net, 5, 6)
+    siblings = {5, 6}
+    packet = Packet(0, dest_task=2)
+    assert net.send(packet, 0, siblings)
+    assert packet.dest_node == 5
+    assert siblings == {5, 6}
+
+
+def test_send_with_empty_siblings_records_its_provider(net):
+    _providers(net, 5, 6)
+    siblings = set()
+    packet = Packet(0, dest_task=2)
+    assert net.send(packet, 0, siblings)
+    assert packet.dest_node == 5
+    assert siblings == {5}
+
+
+def test_dropped_send_leaves_siblings_unchanged(net):
+    siblings = {5}
+    assert not net.send(Packet(0, dest_task=9), 0, siblings)
+    _providers(net, 6)
+    net.fail_node(0)
+    assert not net.send(Packet(0, dest_task=2), 0, siblings)
+    assert siblings == {5}
+
+
+def test_multicast_is_sibling_sends_in_order():
+    """``send_multicast`` is ``send`` over its packets with one shared
+    sibling set: same providers, hops, delivery times and event count."""
+
+    def run(multicast):
+        sim = Simulator(seed=1234)
+        net = Network(sim, topology=MeshTopology(4, 4))
+        delivered = []
+        net.set_deliver_handler(
+            lambda packet, node: delivered.append(
+                (packet.branch, node, sim.now)
+            )
+        )
+        _providers(net, 5, 6)
+        packets = [Packet(0, dest_task=2, branch=b) for b in range(3)]
+        if multicast:
+            assert net.send_multicast(packets, 0) == 3
+        else:
+            siblings = set()
+            for packet in packets:
+                assert net.send(packet, 0, siblings)
+        sim.run_until(10_000)
+        return delivered, net.stats["hops"], sim.dispatched_events
+
+    delivered, hops, events = run(multicast=True)
+    assert (delivered, hops, events) == run(multicast=False)
+    # Two distinct providers first, then the nearest is reused.
+    assert sorted(node for (_b, node, _t) in delivered) == [5, 5, 6]

@@ -258,6 +258,36 @@ class TestKnobsAndFaults:
         assert [pid for (_n, _t, pid) in app.executed] == [fresh.packet_id]
         assert pe.completions == 1
 
+    def test_halt_strands_the_packet_in_service(self, harness):
+        sim, _net, app, pes = harness
+        app.service_us = 1000
+        pe = pes[5]
+        pe.set_task(2)
+        pe.receive(_packet())
+        sim.schedule_at(100, pe.halt)
+        sim.run_until(5000)
+        assert (app.executed, pe.completions, pe.busy) == ([], 0, False)
+
+    def test_stale_completion_keeps_the_live_service_slot(self, harness):
+        # The reset packet's completion lands at 1000, inside the service
+        # of the packet received at 300: the node must stay busy, so a
+        # third packet queues behind it instead of starting at once.
+        sim, _net, app, pes = harness
+        app.service_us = 1000
+        pe = pes[5]
+        pe.set_task(2)
+        pe.receive(_packet())
+        sim.schedule_at(100, pe.reset)
+        sim.schedule_at(300, lambda: pe.receive(_packet()))
+        sim.run_until(1100)
+        assert pe.busy
+        assert pe.receive(_packet())
+        assert len(pe.queue) == 1
+        sim.run_until(2299)
+        assert pe.completions == 1
+        sim.run_until(2300)
+        assert pe.completions == 2
+
 
 class TestObservers:
     def test_sink_and_completion_events(self, harness, recording_observer):

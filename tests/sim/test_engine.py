@@ -205,3 +205,158 @@ class TestSimulator:
         assert seen == ["a"]
         assert sim.run_until(6) == 2
         assert seen == ["a", "b"]
+
+    def test_failing_callback_propagates_and_leaves_kernel_usable(self, sim):
+        seen = []
+
+        def boom():
+            raise ValueError("callback failed")
+
+        sim.schedule(5, lambda: seen.append(sim.now))
+        sim.schedule(10, boom)
+        sim.schedule(15, lambda: seen.append(sim.now))
+        with pytest.raises(ValueError):
+            sim.run_until(20)
+        # The clock stops at the failing event, which is consumed but not
+        # counted; the events dispatched before it are.
+        assert (sim.now, sim.dispatched_events, sim.pending_events) == (
+            10, 1, 1,
+        )
+        # The loop is not left marked as running.
+        assert sim.run_until(20) == 2
+        assert seen == [5, 15]
+
+    def test_horizon_behind_the_clock_does_not_rewind_it(self, sim):
+        sim.run_until(100)
+        assert sim.run_until(50) == 0
+        assert sim.now == 100
+
+    def test_delays_count_from_the_clock_after_an_idle_horizon(self, sim):
+        seen = []
+        sim.run_until(100)
+        sim.schedule(5, lambda: seen.append(("delay", sim.now)))
+        sim.schedule_at(105, lambda: seen.append(("absolute", sim.now)))
+        with pytest.raises(SimulationError):
+            sim.schedule_at(5, lambda: None)
+        sim.run_until(200)
+        assert seen == [("delay", 105), ("absolute", 105)]
+
+    def test_pending_events_tracks_posts_and_dispatches(self, sim):
+        assert sim.pending_events == 0
+        for delay in (10, 20, 30):
+            sim.schedule(delay, lambda: None)
+        assert sim.pending_events == 3
+        sim.run_until(20)
+        assert sim.pending_events == 1
+        sim.run_until(30)
+        assert sim.pending_events == 0
+
+    def test_repr_reports_clock_and_counts(self, sim):
+        sim.schedule(5, lambda: None)
+        sim.schedule(50, lambda: None)
+        sim.run_until(10)
+        assert repr(sim) == "Simulator(now=10us, pending=1, dispatched=1)"
+
+
+@pytest.fixture(params=["schedule", "schedule_at"])
+def post(request):
+    """One of the two scheduling calls, as ``post(sim, time, callback,
+    priority)`` with ``time`` absolute.  Their bodies are separate (each
+    does its own past-time check, int coercion and push), so every
+    contract of :class:`TestSchedulingCalls` is checked on both."""
+    if request.param == "schedule":
+        def post(sim, time, callback, priority=Simulator.PRIORITY_NORMAL):
+            return sim.schedule(time - sim.now, callback, priority)
+    else:
+        def post(sim, time, callback, priority=Simulator.PRIORITY_NORMAL):
+            return sim.schedule_at(time, callback, priority)
+    return post
+
+
+class TestSchedulingCalls:
+    def test_fractional_time_truncates_to_whole_microseconds(self, sim, post):
+        seen = []
+        sim.run_until(10)
+        post(sim, 12.9, lambda: seen.append(sim.now))
+        sim.run_until(20)
+        assert seen == [12]
+        assert type(seen[0]) is int
+
+    def test_fractional_past_time_rejected(self, sim, post):
+        # The past-time check runs before truncation: half a microsecond
+        # early is still in the past.
+        sim.run_until(10)
+        with pytest.raises(SimulationError):
+            post(sim, 9.5, lambda: None)
+
+    def test_current_time_is_not_the_past(self, sim, post):
+        seen = []
+        sim.run_until(10)
+        post(sim, 10, lambda: seen.append(sim.now))
+        sim.run_until(10)
+        assert seen == [10]
+
+    def test_rejected_post_leaves_queue_untouched(self, sim, post):
+        seen = []
+        sim.run_until(10)
+        post(sim, 20, lambda: seen.append(sim.now))
+        with pytest.raises(SimulationError):
+            post(sim, 9, lambda: seen.append("rejected"))
+        assert sim.pending_events == 1
+        sim.run_until(30)
+        assert seen == [20]
+        assert sim.dispatched_events == 1
+
+    def test_same_time_post_from_a_callback_runs_in_the_same_run(
+        self, sim, post
+    ):
+        order = []
+
+        def parent():
+            order.append(("parent", sim.now))
+            post(sim, sim.now, lambda: order.append(("child", sim.now)))
+
+        sim.schedule(10, parent)
+        sim.schedule(11, lambda: order.append(("later", sim.now)))
+        sim.run_until(10)
+        assert order == [("parent", 10), ("child", 10)]
+        assert sim.pending_events == 1
+
+    def test_post_from_a_callback_past_the_horizon_waits(self, sim, post):
+        seen = []
+        sim.schedule(
+            10, lambda: post(sim, 15, lambda: seen.append(sim.now))
+        )
+        sim.run_until(12)
+        assert (seen, sim.pending_events) == ([], 1)
+        sim.run_until(15)
+        assert seen == [15]
+
+    def test_priority_argument_breaks_ties(self, sim, post):
+        order = []
+        for label, priority in (
+            ("sample", Simulator.PRIORITY_SAMPLE),
+            ("normal", Simulator.PRIORITY_NORMAL),
+            ("control", Simulator.PRIORITY_CONTROL),
+        ):
+            post(sim, 10, lambda label=label: order.append(label), priority)
+        sim.run_until(10)
+        assert order == ["control", "normal", "sample"]
+
+    def test_many_ties_run_in_call_order(self, sim, post):
+        # Callbacks are not orderable; ``(time, priority, seq)`` is unique,
+        # so the heap never has to compare them.
+        order = []
+        for index in range(50):
+            post(sim, 10, lambda index=index: order.append(index))
+        sim.run_until(10)
+        assert order == list(range(50))
+
+    def test_each_event_runs_exactly_once(self, sim, post):
+        seen = []
+        post(sim, 5, lambda: seen.append(sim.now))
+        sim.run_until(5)
+        sim.run_until(5)
+        sim.run_until(100)
+        assert seen == [5]
+        assert sim.dispatched_events == 1
