@@ -41,4 +41,10 @@ bench:
 bench-baseline:
 	$(PYTHON) -m benchmarks.harness --update-baseline
 
-.PHONY: test lint coverage bench bench-baseline
+# Python calls, kernel events, hops and result digest of the six paper
+# cells under cProfile: a host-cost counter that repeats exactly (slow,
+# about a minute).  Not a gate.
+counters:
+	PYTHONPATH=src $(PYTHON) tools/count_calls.py
+
+.PHONY: test lint coverage bench bench-baseline counters

@@ -8,12 +8,15 @@ program (a :class:`repro.core.models.base.IntelligenceModel`).  The AIM
   element (internal-sink / execution / task-change impulses),
 * runs a periodic timer tick (the "Timer Tick" input of Figure 2b) that
   drives time-based model logic such as the Foraging-for-Work timeout,
+* calls ``on_packet_routed`` and ``on_tick`` only on a model whose class
+  overrides them (re-read on every upload),
 * exposes the knob bank to the model, and
 * accepts RCAP-style parameter writes so the Experiment Controller can
   retune models remotely at runtime.
 """
 
 from repro.core.knobs import standard_knob_bank
+from repro.core.models.base import IntelligenceModel
 from repro.core.monitors import standard_monitor_bank
 from repro.sim.process import PeriodicProcess
 
@@ -45,7 +48,8 @@ class AimTickBank:
 
     def _tick_all(self, _process):
         # Dispatches straight to the models.  ``_ticking`` holds only
-        # while a model is uploaded and its node has not been shut down.
+        # while a model that overrides ``on_tick`` is uploaded and its
+        # node has not been shut down.
         now = self.sim.now
         for aim in self._aims:
             if aim._ticking and not aim.pe.halted:
@@ -77,13 +81,10 @@ class ArtificialIntelligenceModule:
         self.node_id = pe.node_id
         self._monitors = None
         self.knobs = standard_knob_bank(pe, router)
-        self.model = None
-        self._ticking = False
         tick_bank.register(self)
-        router.add_observer(self)
         pe.add_observer(self)
-        if model is not None:
-            self.upload_model(model)
+        self._install(model)
+        router.add_observer(self)
 
     @property
     def monitors(self):
@@ -103,12 +104,23 @@ class ArtificialIntelligenceModule:
     # -- program upload ------------------------------------------------------
 
     def upload_model(self, model):
-        """Install (or replace) the hosted intelligence program."""
+        """Install (or replace) the program; re-read the hooks it overrides."""
+        self._install(model)
+        self.router.refresh_handlers()
+
+    def _install(self, model):
         self.model = model
+        #: True while the model overrides ``on_packet_routed``: the router
+        #: lists this AIM's relay only then.
+        self.wants_routing_events = self._ticking = False
         if model is not None:
             model.bind(self)
             self.knobs["task_select"].reason = model.name
-        self._ticking = model is not None
+            cls = type(model)
+            self.wants_routing_events = (
+                cls.on_packet_routed is not IntelligenceModel.on_packet_routed
+            )
+            self._ticking = cls.on_tick is not IntelligenceModel.on_tick
 
     def shutdown(self):
         """Stop the timer tick (used when the node dies)."""
@@ -117,8 +129,8 @@ class ArtificialIntelligenceModule:
     def restart(self):
         """Resume the timer tick after node recovery.
 
-        The AIM flips its gate back on (the shared train never stopped).
-        An AIM with no model stays silent, exactly as at construction.
+        The AIM flips its gate back on if its model ticks (the shared
+        train never stopped).  An AIM with no model stays silent.
 
         The model's :meth:`~repro.core.models.base.IntelligenceModel.
         on_restart` hook runs before the next tick: a deadline armed
@@ -128,14 +140,14 @@ class ArtificialIntelligenceModule:
         """
         if self.model is None:
             return
-        self._ticking = True
+        self._ticking = type(self.model).on_tick is not IntelligenceModel.on_tick
         self.model.on_restart(self)
 
     # -- router monitor relay ---------------------------------------------------
 
     def on_packet_routed(self, router, packet, to_internal):
         """Router monitor relay (filters locally-injected packets)."""
-        if self.model is None or self.pe.halted:
+        if self.pe.halted:
             return
         # Locally-injected packets (hop count still zero) are the node's own
         # emissions, not observed traffic; monitors sit on the mesh input

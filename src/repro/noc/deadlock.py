@@ -19,7 +19,8 @@ class DeadlockRecovery:
     ----------
     wait_limit:
         Maximum µs a packet may wait for one output channel before being
-        declared deadlocked; ``None`` disables recovery entirely.
+        declared deadlocked (a wait equal to it is tolerated); ``None``
+        disables recovery entirely.
     """
 
     def __init__(self, wait_limit=50_000):
@@ -28,10 +29,6 @@ class DeadlockRecovery:
         self.wait_limit = wait_limit
         self.drops = 0
         self.last_drop_time = None
-
-    def should_drop(self, wait):
-        """True when a channel wait of ``wait`` µs exceeds the limit."""
-        return self.wait_limit is not None and wait > self.wait_limit
 
     def record_drop(self, now):
         """Account one recovered (dropped) packet."""

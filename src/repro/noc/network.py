@@ -23,16 +23,22 @@ Hot-path notes
 --------------
 Every hop is one kernel event: ``_arrive`` processes a packet's arrival
 at a router and posts the next arrival through
-:meth:`repro.sim.engine.Simulator.schedule_at`.  That is the only way a
-packet moves, injections and multicast first hops included.  Per-hop
-link claims, router counters, observer notifications and model reactions
-therefore all happen at their exact hop timestamps, in kernel dispatch
-order.
+:meth:`repro.sim.engine.Simulator.schedule_at`, as a
+``functools.partial`` of itself.  That is the only way a packet moves,
+injections and multicast first hops included.  Per-hop link claims,
+router counters, observer notifications and model reactions therefore
+all happen at their exact hop timestamps, in kernel dispatch order.
+
+A router visit is one Python frame: ``_arrive`` (and ``_deliver``, its
+sink half) does the router's bookkeeping inline and calls only the
+``Router.routed_handlers`` of observers that want routing events.
 
 Per-hop lookups are precomputed: ``_hop_table[node][direction]`` holds the
 ``(neighbor, link, entry port)`` triple, replacing topology math, link dict
 hashing and the reverse-direction lookup on every hop.
 """
+
+from functools import partial
 
 from repro.noc.deadlock import DeadlockRecovery
 from repro.noc.link import Link
@@ -43,7 +49,7 @@ from repro.noc.routing import (
     RoutingPolicy,
     UnroutableError,
 )
-from repro.noc.topology import MeshTopology, normalize_edge, opposite
+from repro.noc.topology import INTERNAL, MeshTopology, normalize_edge, opposite
 
 
 class Network:
@@ -122,7 +128,7 @@ class Network:
         #: Per-node channel-wait override: node id -> wait limit (µs)
         #: tighter than the config-wide deadlock bound.  Empty on every
         #: dynamics-free run, which keeps the hot routing path on its
-        #: historic branch (see ``_route_step``).
+        #: historic branch (see ``_arrive``).
         self.deadlock_pressure = {}
         self.stats = {
             "sent": 0,
@@ -409,105 +415,100 @@ class Network:
     # -- hop engine ---------------------------------------------------------------------
 
     def _arrive(self, packet, node, in_port=None):
-        """Packet is at ``node``'s router at the current simulation time.
+        """One router visit: ``packet`` is at ``node`` at the current time.
 
         Called directly on injection (send / multicast / redirect /
         requeue, ``in_port`` unset) and as the hop-event callback on
         every later arrival, where ``in_port`` is the port it came in
-        through.  The next hop is always a real event: the caller's
-        enclosing callback may still have same-time work to do (a PE
-        completion emitting several packets, a task switch requeueing a
-        buffer).
+        through.  Delivery checks, re-resolution, port choice, deadlock
+        bound, link claim and the router's bookkeeping all happen here.
+        The next hop is always a real event: the caller's enclosing
+        callback may still have same-time work to do (a PE completion
+        emitting several packets, a task switch requeueing a buffer).
         """
-        if not packet.in_flight:
+        if packet.status != PacketStatus.IN_FLIGHT:
             return
         if node in self.failed_nodes:
             self._drop(packet, PacketStatus.DROPPED_FAULT)
             return
-        if in_port is not None:
-            # Inlined Router.record_port(in_port, incoming=True).
-            self.routers[node].ports[in_port].packets_in += 1
-        step = self._route_step(packet, node)
-        if step is None:
-            return
-        neighbor, in_port, arrival_time = step
-        self.sim.schedule_at(
-            arrival_time,
-            lambda p=packet, n=neighbor, d=in_port: self._arrive(p, n, d),
-        )
-
-    def _route_step(self, packet, node):
-        """One router's worth of forwarding work at the current time.
-
-        Delivery checks, provider re-resolution, output-port choice,
-        deadlock bound, wormhole link claim and the router's counters and
-        observer notifications.  Returns ``None`` on a terminal outcome
-        (delivered or dropped), else ``(neighbor, entry port, arrival
-        time)`` for the next hop.
-        """
         router = self.routers[node]
+        if in_port is not None:
+            router.ports[in_port].packets_in += 1
         if node == packet.dest_node:
             if self.directory.task_of(node) == packet.dest_task:
                 self._deliver(packet, node, router)
-                return None
+                return
             # Destination changed task while the packet was in flight:
             # re-resolve toward the task's new nearest provider.
             if not self._reresolve(packet, node):
-                return None
+                return
             if packet.dest_node == node:
                 self._deliver(packet, node, router)
-                return None
+                return
         try:
             direction = self.policy.next_direction(node, packet.dest_node)
         except UnroutableError:
             if not self._reresolve(packet, node, exclude=(packet.dest_node,)):
-                return None
+                return
             if packet.dest_node == node:
                 self._deliver(packet, node, router)
-                return None
+                return
             try:
                 direction = self.policy.next_direction(node, packet.dest_node)
             except UnroutableError:
                 self._drop(packet, PacketStatus.DROPPED_NO_PROVIDER,
                            at_node=node)
-                return None
-        if router.config.routing_mode == "adaptive":
+                return
+        config = router.config
+        if config.routing_mode == "adaptive":
             direction = self._adaptive_port(router, node, packet, direction)
         hop = self._hop_table[node].get(direction)
         if hop is None:
             self._drop(packet, PacketStatus.DROPPED_NO_PROVIDER,
                        at_node=node)
-            return None
-        neighbor, link, in_port = hop
+            return
+        neighbor, link, next_port = hop
         if not link.enabled:
             # The policy avoids failed links once its caches invalidate;
             # this guards the same-instant race (link died between the
             # direction choice and the claim).
             self._drop(packet, PacketStatus.DROPPED_FAULT, at_node=node)
-            return None
+            return
         now = self.sim.now
         wait = link.busy_until - now
+        limit = self.deadlock.wait_limit
         # The pressure dict is empty on dynamics-free runs, so the
         # short-circuit keeps this hot path on its historic branch; the
         # ``.get(node, wait)`` default makes an un-pressured node's
         # comparison trivially false.
-        if self.deadlock.should_drop(wait) or (
+        if (limit is not None and wait > limit) or (
             self.deadlock_pressure
             and wait > self.deadlock_pressure.get(node, wait)
         ):
             self.deadlock.record_drop(now)
             self._drop(packet, PacketStatus.DROPPED_DEADLOCK, at_node=node)
-            return None
-        router.notify_routed(packet, to_internal=False)
-        # Inlined Router.record_port(direction, incoming=False).
+            return
+        if not router.failed:
+            task = packet.dest_task
+            counts = router.task_route_counts
+            counts[task] = counts.get(task, 0) + 1
+            router.packets_forwarded += 1
+            recent = router.recent_tasks
+            recent.append(task)
+            overflow = len(recent) - config.recent_queue_depth
+            if overflow > 0:
+                del recent[:overflow]
+            for handler in router.routed_handlers:
+                handler(router, packet, False)
         router.ports[direction].packets_out += 1
-        departure = now + router.config.router_latency
-        arrival_time = link.transfer(packet, departure)
+        arrival_time = link.transfer(packet, now + config.router_latency)
         if link.corrupting:
             packet.corrupted = True
         packet.hops += 1
         self.stats["hops"] += 1
-        return neighbor, in_port, arrival_time
+        self.sim.schedule_at(
+            arrival_time, partial(self._arrive, packet, neighbor, next_port)
+        )
 
     def _adaptive_port(self, router, node, packet, policy_direction):
         """Congestion-aware minimal output-port choice (paper §V).
@@ -538,7 +539,14 @@ class Network:
     # -- terminal outcomes --------------------------------------------------------
 
     def _deliver(self, packet, node, router):
-        router.notify_routed(packet, to_internal=True)
+        if not router.failed:
+            task = packet.dest_task
+            counts = router.task_route_counts
+            counts[task] = counts.get(task, 0) + 1
+            router.packets_sunk += 1
+            router.ports[INTERNAL].packets_out += 1
+            for handler in router.routed_handlers:
+                handler(router, packet, True)
         packet.status = PacketStatus.DELIVERED
         packet.delivered_at = self.sim.now
         self.stats["delivered"] += 1

@@ -111,10 +111,6 @@ class Packet:
         """Frozen view of bounced providers (empty tuple when none)."""
         return self.tried if self.tried is not None else ()
 
-    @property
-    def in_flight(self):
-        return self.status == PacketStatus.IN_FLIGHT
-
     def latency(self):
         """End-to-end latency in µs, or ``None`` if not delivered."""
         if self.delivered_at is None:

@@ -32,6 +32,20 @@ class Port:
         )
 
 
+def check_settings(routing_mode, router_latency, recent_queue_depth):
+    """Raise ``ValueError`` unless the three router settings are valid.
+
+    The hop engine reads all three on every visit, so both
+    :class:`RouterConfig` and :meth:`Router.rcap_write` check them.
+    """
+    if routing_mode not in ("xy", "adaptive"):
+        raise ValueError("unknown routing mode {!r}".format(routing_mode))
+    if router_latency < 0:
+        raise ValueError("router_latency must be non-negative")
+    if recent_queue_depth < 1:
+        raise ValueError("recent_queue_depth must be >= 1")
+
+
 class RouterConfig:
     """Mutable router settings reachable through the RCAP.
 
@@ -52,12 +66,7 @@ class RouterConfig:
 
     def __init__(self, routing_mode="xy", router_latency=2,
                  recent_queue_depth=8):
-        if routing_mode not in ("xy", "adaptive"):
-            raise ValueError("unknown routing mode {!r}".format(routing_mode))
-        if router_latency < 0:
-            raise ValueError("router_latency must be non-negative")
-        if recent_queue_depth < 1:
-            raise ValueError("recent_queue_depth must be >= 1")
+        check_settings(routing_mode, router_latency, recent_queue_depth)
         self.routing_mode = routing_mode
         self.router_latency = router_latency
         self.recent_queue_depth = recent_queue_depth
@@ -83,7 +92,9 @@ class Router:
     state, the RCAP configuration interface, per-task routing-event counters
     (the NI model's monitor), the recent-task queue (the FFW model's
     monitor) and the observer list through which the AIM hears routing
-    events.
+    events.  The network's hop engine updates the counters, the queue and
+    the port statistics inline on each visit and calls
+    :attr:`routed_handlers` itself: a router visit is one Python frame.
     """
 
     def __init__(self, node_id, config=None):
@@ -97,7 +108,10 @@ class Router:
         #: most recent dest tasks forwarded (oldest first)
         self.recent_tasks = []
         self._observers = []
-        self._routed_handlers = []
+        #: Routed-event handlers, in subscription order, of the observers
+        #: that want routing events; the hop engine calls each as
+        #: ``handler(router, packet, to_internal)``.
+        self.routed_handlers = []
         self._dropped_handlers = []
         self.packets_forwarded = 0
         self.packets_sunk = 0
@@ -112,24 +126,30 @@ class Router:
         """Subscribe an observer (typically the node's AIM).
 
         Observers may implement ``on_packet_routed(router, packet,
-        to_internal)``; missing methods are tolerated so tests can pass
-        minimal stubs.  Handlers are cached at subscription time — routing
-        events are the hottest path in the simulation.
+        to_internal)`` and ``on_packet_dropped(router, packet)``; missing
+        methods are tolerated so tests can pass minimal stubs.  Handlers
+        are cached at subscription time — routing events are the hottest
+        path in the simulation.  An observer whose ``wants_routing_events``
+        attribute is false stays out of the routed fan-out, and calls
+        :meth:`refresh_handlers` when that changes (the AIM does on every
+        model upload).
         """
         self._observers.append(observer)
-        self._rebuild_handler_cache()
+        self.refresh_handlers()
 
     def remove_observer(self, observer):
         """Unsubscribe an observer."""
         self._observers.remove(observer)
-        self._rebuild_handler_cache()
+        self.refresh_handlers()
 
-    def _rebuild_handler_cache(self):
-        self._routed_handlers = [
+    def refresh_handlers(self):
+        """Rebuild the handler caches from the observer list."""
+        self.routed_handlers = [
             handler
             for handler in (
                 getattr(obs, "on_packet_routed", None)
                 for obs in self._observers
+                if getattr(obs, "wants_routing_events", True)
             )
             if handler is not None
         ]
@@ -144,31 +164,6 @@ class Router:
 
     # -- events driven by the network -----------------------------------------
 
-    def notify_routed(self, packet, to_internal):
-        """Record a routing event and fan it out to observers.
-
-        ``to_internal`` is True when the packet was routed to the internal
-        port (accepted by the local node) — the impulse that suppresses the
-        FFW task-switch timeout.
-        """
-        if self.failed:
-            return
-        task = packet.dest_task
-        counts = self.task_route_counts
-        counts[task] = counts.get(task, 0) + 1
-        if to_internal:
-            self.packets_sunk += 1
-            self.ports[INTERNAL].packets_out += 1
-        else:
-            self.packets_forwarded += 1
-            recent = self.recent_tasks
-            recent.append(task)
-            overflow = len(recent) - self.config.recent_queue_depth
-            if overflow > 0:
-                del recent[:overflow]
-        for handler in self._routed_handlers:
-            handler(self, packet, to_internal)
-
     def notify_dropped(self, packet):
         """Report a packet dropped at this router to observers.
 
@@ -182,14 +177,6 @@ class Router:
         self.packets_dropped_here += 1
         for handler in self._dropped_handlers:
             handler(self, packet)
-
-    def record_port(self, port_name, incoming):
-        """Update per-port counters for a packet crossing ``port_name``."""
-        port = self.ports[port_name]
-        if incoming:
-            port.packets_in += 1
-        else:
-            port.packets_out += 1
 
     # -- failure ------------------------------------------------------------------
 
@@ -214,17 +201,23 @@ class Router:
     def rcap_write(self, settings):
         """Apply remote configuration (the paper's sixth port).
 
-        ``settings`` is a mapping of :class:`RouterConfig` attribute names to
-        new values; unknown keys raise ``KeyError`` to surface typos in
-        experiment scripts.
+        ``settings`` maps :class:`RouterConfig` setting names to new
+        values.  The write is all or nothing: an unknown key raises
+        ``KeyError`` (to surface typos in experiment scripts), an invalid
+        value raises ``ValueError`` (:func:`check_settings`), and either
+        leaves the configuration unchanged.
         """
         if self.failed:
             raise RuntimeError(
                 "RCAP write to failed router {}".format(self.node_id)
             )
+        merged = self.rcap_read()
         for key, value in settings.items():
-            if not hasattr(self.config, key):
+            if key not in merged:
                 raise KeyError("unknown router setting {!r}".format(key))
+            merged[key] = value
+        check_settings(**merged)
+        for key, value in merged.items():
             setattr(self.config, key, value)
 
     def rcap_read(self):

@@ -37,6 +37,11 @@ class ProviderDirectory:
     The directory is the simulation-level stand-in for the emergent
     task-location knowledge that packets exploit; lookups are deterministic
     (ties broken by node id) so runs are reproducible.
+
+    Rankings are cached as ``{task: {origin: ranked}}``.  A ranking
+    depends only on its task's provider set, so a task switch drops just
+    the old and the new task's entry.  A miss filters the origin's
+    (distance, id) node order, built on its first miss, by the set.
     """
 
     def __init__(self, topology):
@@ -44,16 +49,9 @@ class ProviderDirectory:
         self._providers = {}
         self._node_task = {}
         self._failed = set()
-        self.version = 0
-        # Distance ranking cache: provider lookup is the hottest query in
-        # the simulation, so coordinates are precomputed and sorted
-        # candidate lists are cached per (origin, task) until the directory
-        # changes (version bump).
         self._coords = [topology.coords(n) for n in topology.node_ids()]
-        self._rank_cache = {}
-        self._rank_cache_version = 0
-        self._providers_cache = {}
-        self._providers_cache_version = 0
+        self._rankings = {}
+        self._node_order = {}
 
     # -- updates -------------------------------------------------------------
 
@@ -68,17 +66,18 @@ class ProviderDirectory:
                 members.discard(node_id)
                 if not members:
                     del self._providers[old]
+            self._rankings.pop(old, None)
         self._node_task[node_id] = task_id
         if task_id is not None:
             self._providers.setdefault(task_id, set()).add(node_id)
-        self.version += 1
+            self._rankings.pop(task_id, None)
 
     def mark_failed(self, node_id):
         """Remove a failed node from all provider sets.
 
-        The version bump rides on :meth:`set_task`: provider caches only
-        depend on the provider sets, and those change exactly when the
-        node had a live task to clear.
+        The ranking drop rides on :meth:`set_task`: rankings depend only
+        on the provider sets, and those change exactly when the node had
+        a live task to clear.
         """
         if node_id in self._failed:
             return
@@ -88,9 +87,9 @@ class ProviderDirectory:
     def mark_recovered(self, node_id):
         """Readmit a recovered node (it rejoins task-less).
 
-        No version bump is needed: the node held no task while failed,
-        so the provider sets — all the caches depend on — are unchanged
-        until something assigns it work again.
+        No ranking is dropped: the node held no task while failed, so the
+        provider sets are unchanged until something assigns it work
+        again.
         """
         self._failed.discard(node_id)
 
@@ -101,19 +100,8 @@ class ProviderDirectory:
         return self._node_task.get(node_id)
 
     def providers(self, task_id):
-        """Sorted list of healthy nodes performing ``task_id``.
-
-        The sorted list is cached per task until the directory changes
-        (version bump); callers must treat it as read-only.
-        """
-        if self._providers_cache_version != self.version:
-            self._providers_cache.clear()
-            self._providers_cache_version = self.version
-        cached = self._providers_cache.get(task_id)
-        if cached is None:
-            cached = sorted(self._providers.get(task_id, ()))
-            self._providers_cache[task_id] = cached
-        return cached
+        """Sorted list of healthy nodes performing ``task_id``."""
+        return sorted(self._providers.get(task_id, ()))
 
     def provider_count(self, task_id):
         """Number of healthy providers of ``task_id``."""
@@ -132,40 +120,44 @@ class ProviderDirectory:
         """Nearest healthy provider of ``task_id`` by Manhattan distance.
 
         Ties break toward the lowest node id (deterministic).  ``exclude``
-        removes candidates (e.g. the asking node itself when it wants help
-        from elsewhere, or providers that already bounced a packet).
-        Returns ``None`` when no provider exists — the caller decides
-        whether to drop or hold the packet.
+        (a set or a tuple) removes candidates (e.g. the asking node itself
+        when it wants help from elsewhere, or providers that already
+        bounced a packet).  Returns ``None`` when no provider exists — the
+        caller decides whether to drop or hold the packet.
         """
-        ranked = self.ranked_providers(from_node, task_id)
+        try:
+            ranked = self._rankings[task_id][from_node]
+        except KeyError:
+            ranked = self.ranked_providers(from_node, task_id)
         if not exclude:
             return ranked[0] if ranked else None
-        excluded = (
-            exclude if isinstance(exclude, (set, frozenset)) else set(exclude)
-        )
         for node in ranked:
-            if node not in excluded:
+            if node not in exclude:
                 return node
         return None
 
     def ranked_providers(self, from_node, task_id):
-        """Healthy providers of ``task_id`` sorted by (distance, id)."""
-        if self._rank_cache_version != self.version:
-            self._rank_cache.clear()
-            self._rank_cache_version = self.version
-        key = (from_node, task_id)
-        ranked = self._rank_cache.get(key)
+        """Healthy providers of ``task_id`` sorted by (distance, id).
+
+        The list is cached until the task's provider set changes; callers
+        must treat it as read-only.
+        """
+        by_origin = self._rankings.setdefault(task_id, {})
+        ranked = by_origin.get(from_node)
         if ranked is None:
-            fx, fy = self._coords[from_node]
-            coords = self._coords
-            ranked = sorted(
-                self._providers.get(task_id, ()),
-                key=lambda n: (
-                    abs(coords[n][0] - fx) + abs(coords[n][1] - fy),
-                    n,
-                ),
-            )
-            self._rank_cache[key] = ranked
+            order = self._node_order.get(from_node)
+            if order is None:
+                fx, fy = self._coords[from_node]
+                order = self._node_order[from_node] = [
+                    node for _distance, node in sorted(
+                        (abs(x - fx) + abs(y - fy), node)
+                        for node, (x, y) in enumerate(self._coords)
+                    )
+                ]
+            providers = self._providers.get(task_id, ())
+            ranked = by_origin[from_node] = [
+                node for node in order if node in providers
+            ]
         return ranked
 
 

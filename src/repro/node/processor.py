@@ -21,6 +21,7 @@ epoch and returns, so the packet it carried never executes.
 """
 
 from collections import deque
+from functools import partial
 
 from repro.node.dvfs import FrequencyScaler
 from repro.node.thermal import ThermalModel
@@ -284,11 +285,12 @@ class ProcessingElement:
         """
         packet.reroutes += 1
         packet.mark_tried(self.node_id)
-        node = self.node_id
+        # mark_tried made the set, so the redirect sees later additions.
         self.sim.schedule(
             self.overflow_hold_us,
-            lambda p=packet, n=node: self.network.redirect(
-                p, n, exclude=p.tried_providers()
+            partial(
+                self.network.redirect, packet, self.node_id,
+                packet.tried_providers(),
             ),
         )
 
@@ -325,9 +327,7 @@ class ProcessingElement:
         self.busy = True
         self.sim.schedule(
             duration,
-            lambda p=packet, d=duration, e=self._service_epoch: (
-                self._complete(p, d, e)
-            ),
+            partial(self._complete, packet, duration, self._service_epoch),
         )
 
     def _complete(self, packet, duration, epoch):

@@ -56,16 +56,108 @@ def test_ticks_delivered_periodically(probed):
     assert len(ticks) == 3
 
 
+def _foreign_task(platform, node):
+    """A task that some node other than ``node`` runs."""
+    census = platform.network.directory.task_census()
+    return min(task for task in census if task != platform.pes[node].task_id)
+
+
 def test_router_events_relayed_with_injected_flag(probed):
     platform, _aim, model = probed
-    router = platform.network.router(5)
-    transit = Packet(0, dest_task=2)
-    transit.hops = 2
-    router.notify_routed(transit, to_internal=False)
-    local = Packet(5, dest_task=3)  # hops == 0: locally injected
-    router.notify_routed(local, to_internal=False)
+    network = platform.network
+    task = _foreign_task(platform, 5)
+    # Each send visits router 5 first, in this frame, and forwards.
+    transit = Packet(0, dest_task=task)
+    transit.hops = 2  # crossed two routers before re-entering here
+    network.send(transit, 5)
+    local = Packet(5, dest_task=task)  # hops == 0: locally injected
+    network.send(local, 5)
     routed = [e for e in model.events if e[0] == "routed"]
-    assert routed == [("routed", 2, False, False), ("routed", 3, False, True)]
+    assert routed == [
+        ("routed", task, False, False), ("routed", task, False, True),
+    ]
+
+
+def test_sunk_packet_relayed_as_internal(probed):
+    platform, _aim, model = probed
+    own = platform.pes[5].task_id
+    platform.network.send(Packet(5, dest_task=own), 5)
+    routed = [e for e in model.events if e[0] == "routed"]
+    assert routed == [("routed", own, True, False)]
+
+
+def test_base_no_op_hooks_are_never_called(small_platform, monkeypatch):
+    """The `none` model keeps the base hooks: no AIM relays a routed
+    event or a tick to them, before or after a restart (replaced here,
+    after construction, by recorders)."""
+    calls = []
+
+    def routed(self, aim, packet, to_internal, injected):
+        calls.append("routed")
+
+    def tick(self, aim, now):
+        calls.append("tick")
+
+    monkeypatch.setattr(IntelligenceModel, "on_packet_routed", routed)
+    monkeypatch.setattr(IntelligenceModel, "on_tick", tick)
+    platform = small_platform
+    platform.aims[5].shutdown()
+    platform.aims[5].restart()  # a recovered node's AIM ticks no more
+    platform.sim.run_until(platform.config.aim_tick_us * 5)
+    assert platform.network.stats["hops"] > 0
+    assert calls == []
+
+
+class _TailObserver:
+    """A router observer that logs into a shared list."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def on_packet_routed(self, router, packet, to_internal):
+        self.log.append(("observer", packet.dest_task))
+
+
+def test_relays_follow_the_uploaded_model(small_platform):
+    """Routed events and ticks reach a model only while its class
+    overrides the hook, re-read on every upload; the router keeps its
+    observers in subscription order throughout."""
+    platform = small_platform
+    sim, network = platform.sim, platform.network
+    aim, router = platform.aims[5], network.router(5)
+    baseline = aim.model  # the `none` model overrides neither hook
+    log = []
+    tail = _TailObserver(log)
+    router.add_observer(tail)
+    task = _foreign_task(platform, 5)
+    tick = platform.config.aim_tick_us
+
+    def visit():
+        network.send(Packet(5, dest_task=task), 5)
+
+    assert router.routed_handlers == [tail.on_packet_routed]
+    visit()
+    assert log == [("observer", task)]
+
+    probe = ProbeModel()
+    probe.events = log
+    aim.upload_model(probe)
+    assert router.routed_handlers == [
+        aim.on_packet_routed, tail.on_packet_routed,
+    ]
+    del log[:]
+    visit()
+    assert log == [("routed", task, False, True), ("observer", task)]
+    sim.run_until(tick)
+    assert ("tick", tick) in log
+
+    aim.upload_model(baseline)
+    assert router.routed_handlers == [tail.on_packet_routed]
+    del log[:]
+    visit()
+    sim.run_until(tick * 3)
+    assert log[0] == ("observer", task)
+    assert {entry[0] for entry in log} == {"observer"}
 
 
 def test_pe_events_relayed(probed):
@@ -102,11 +194,12 @@ def test_shutdown_stops_ticks(probed):
 
 def test_halted_node_silences_relays(probed):
     platform, _aim, model = probed
+    task = _foreign_task(platform, 5)
     platform.pes[5].halt()
-    router = platform.network.router(5)
-    packet = Packet(0, dest_task=2)
+    packet = Packet(0, dest_task=task)
     packet.hops = 1
-    router.notify_routed(packet, to_internal=False)
+    platform.network.send(packet, 5)
+    assert platform.network.router(5).packets_forwarded == 1
     routed = [e for e in model.events if e[0] == "routed"]
     assert routed == []
 

@@ -78,9 +78,14 @@ def test_neighbor_task_monitor_reads_directory(node):
 
 
 def test_routed_task_counts_monitor(node):
-    _platform, _pe, router, monitors, _knobs = node
-    router.notify_routed(Packet(0, dest_task=2), to_internal=False)
-    assert monitors.read("routed_task_counts") == {2: 1}
+    platform, pe, _router, monitors, _knobs = node
+    # A task some other node runs: node 5's router forwards the packet.
+    task = min(
+        task for task in platform.network.directory.task_census()
+        if task != pe.task_id
+    )
+    platform.network.send(Packet(5, dest_task=task), 5)
+    assert monitors.read("routed_task_counts") == {task: 1}
 
 
 def test_frequency_knob_and_monitor_agree(node):

@@ -23,7 +23,10 @@ class TestImpulseLine:
     def test_disconnect(self):
         line = ImpulseLine("x")
         seen = []
-        listener = lambda p: seen.append(p)
+
+        def listener(payload):
+            seen.append(payload)
+
         line.connect(listener)
         line.disconnect(listener)
         line.fire(1)

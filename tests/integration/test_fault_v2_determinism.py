@@ -93,9 +93,10 @@ def test_new_kinds_are_bit_identical_across_repeats(kind, model):
     descriptor = RunDescriptor(
         model, 21, 0, _CONFIG, keep_series=True, scenario=scenario
     )
-    blob = lambda result: json.dumps(  # noqa: E731
-        encode_result(descriptor, result), sort_keys=True
-    )
+
+    def blob(result):
+        return json.dumps(encode_result(descriptor, result), sort_keys=True)
+
     assert blob(first) == blob(second)
 
 

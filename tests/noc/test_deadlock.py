@@ -5,22 +5,6 @@ import pytest
 from repro.noc.deadlock import DeadlockRecovery
 
 
-def test_waits_below_limit_pass():
-    recovery = DeadlockRecovery(wait_limit=100)
-    assert not recovery.should_drop(100)
-    assert not recovery.should_drop(0)
-
-
-def test_waits_above_limit_drop():
-    recovery = DeadlockRecovery(wait_limit=100)
-    assert recovery.should_drop(101)
-
-
-def test_disabled_never_drops():
-    recovery = DeadlockRecovery(wait_limit=None)
-    assert not recovery.should_drop(10**9)
-
-
 def test_drop_accounting():
     recovery = DeadlockRecovery(wait_limit=1)
     recovery.record_drop(now=500)

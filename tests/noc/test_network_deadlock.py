@@ -1,5 +1,7 @@
 """Deadlock recovery and drop-notification behaviour of the network."""
 
+import pytest
+
 from repro.noc.network import Network
 from repro.noc.packet import Packet, PacketStatus
 from repro.noc.topology import MeshTopology
@@ -29,6 +31,32 @@ def test_deadlock_recovery_drops_blocked_packet(sim):
     assert victim.status == PacketStatus.DROPPED_DEADLOCK
     assert net.deadlock.drops == 1
     assert net.stats["dropped_deadlock"] == 1
+
+
+@pytest.mark.parametrize(
+    "limit, wait, dropped",
+    [
+        (100, 0, False),
+        (100, 100, False),
+        (100, 101, True),
+        (None, 10**9, False),
+    ],
+    ids=["no-wait", "wait-equals-limit", "limit-plus-one", "no-limit"],
+)
+def test_channel_wait_bound(sim, limit, wait, dropped):
+    """A wait equal to the limit is tolerated; one more µs drops."""
+    net = Network(
+        sim, topology=MeshTopology(3, 1), deadlock_wait_limit=limit
+    )
+    net.set_deliver_handler(lambda pkt, node: None)
+    net.directory.set_task(2, 2)
+    net.link(0, 1).busy_until = sim.now + wait
+    victim = Packet(0, dest_task=2)
+    net.send(victim, 0)
+    assert (victim.status == PacketStatus.DROPPED_DEADLOCK) is dropped
+    assert net.deadlock.drops == int(dropped)
+    assert net.stats["dropped_deadlock"] == int(dropped)
+    assert sim.pending_events == int(not dropped)
 
 
 def test_waits_under_limit_tolerated(sim):

@@ -8,7 +8,6 @@ from repro.noc.packet import Packet, PacketStatus
 def test_defaults():
     packet = Packet(src_node=3, dest_task=2)
     assert packet.status == PacketStatus.IN_FLIGHT
-    assert packet.in_flight
     assert packet.dest_node is None
     assert packet.hops == 0
     assert packet.latency() is None

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.noc.network import Network
 from repro.noc.packet import Packet
 from repro.noc.router import Router, RouterConfig
-from repro.noc.topology import DIRECTIONS, INTERNAL
+from repro.noc.topology import DIRECTIONS, EAST, INTERNAL, WEST, MeshTopology
 
 
 def test_router_has_five_ports():
@@ -12,63 +13,129 @@ def test_router_has_five_ports():
     assert set(router.ports) == set(DIRECTIONS) | {INTERNAL}
 
 
-def test_forwarded_packet_counts_task_and_queue():
-    router = Router(0)
-    router.notify_routed(Packet(0, dest_task=2), to_internal=False)
-    router.notify_routed(Packet(0, dest_task=2), to_internal=False)
-    router.notify_routed(Packet(0, dest_task=3), to_internal=False)
-    assert router.task_route_counts == {2: 2, 3: 1}
-    assert router.packets_forwarded == 3
-    assert router.recent_tasks == [2, 2, 3]
+def _line(sim, config=None):
+    """A 3x1 mesh: a packet sent from node 0 is forwarded by routers 0
+    and 1 and sunk by router 2."""
+    net = Network(sim, topology=MeshTopology(3, 1), router_config=config)
+    net.set_deliver_handler(lambda packet, node: None)
+    return net
 
 
-def test_internal_routing_counts_sink_not_queue():
-    router = Router(0)
-    router.notify_routed(Packet(0, dest_task=2), to_internal=True)
+def _send_across(net, sim, *tasks):
+    """Send one packet per task from node 0 to node 2, which runs it."""
+    for task in tasks:
+        net.directory.set_task(2, task)
+        net.send(Packet(0, dest_task=task), 0)
+        sim.run_until(sim.now + 1_000)
+
+
+def test_forwarded_packet_counts_task_and_queue(sim):
+    net = _line(sim)
+    _send_across(net, sim, 2, 2, 3)
+    for node in (0, 1):
+        router = net.router(node)
+        assert router.task_route_counts == {2: 2, 3: 1}
+        assert router.packets_forwarded == 3
+        assert router.recent_tasks == [2, 2, 3]
+
+
+def test_internal_routing_counts_sink_not_queue(sim):
+    net = _line(sim)
+    _send_across(net, sim, 2)
+    router = net.router(2)
     assert router.packets_sunk == 1
+    assert router.packets_forwarded == 0
     assert router.recent_tasks == []
     assert router.task_route_counts == {2: 1}
 
 
-def test_recent_queue_bounded_by_config():
-    router = Router(0, RouterConfig(recent_queue_depth=3))
-    for task in (1, 2, 3, 1, 2):
-        router.notify_routed(Packet(0, dest_task=task), to_internal=False)
-    assert router.recent_tasks == [3, 1, 2]
+def test_recent_queue_bounded_by_config(sim):
+    net = _line(sim, RouterConfig(recent_queue_depth=3))
+    _send_across(net, sim, 1, 2, 3, 1, 2)
+    assert net.router(1).recent_tasks == [3, 1, 2]
 
 
-def test_observers_receive_routing_events(recording_observer):
-    router = Router(7)
-    router.add_observer(recording_observer)
-    router.notify_routed(Packet(0, dest_task=2), to_internal=False)
-    router.notify_routed(Packet(0, dest_task=3), to_internal=True)
-    assert recording_observer.routed == [(7, 2, False), (7, 3, True)]
+def test_observers_receive_routing_events(sim, recording_observer):
+    net = _line(sim)
+    for node in (0, 1, 2):
+        net.router(node).add_observer(recording_observer)
+    _send_across(net, sim, 2, 3)
+    assert recording_observer.routed == [
+        (0, 2, False), (1, 2, False), (2, 2, True),
+        (0, 3, False), (1, 3, False), (2, 3, True),
+    ]
 
 
-def test_removed_observer_stops_receiving(recording_observer):
-    router = Router(7)
-    router.add_observer(recording_observer)
-    router.remove_observer(recording_observer)
-    router.notify_routed(Packet(0, dest_task=2), to_internal=False)
+class _Tagged:
+    def __init__(self, tag, log):
+        self.tag = tag
+        self.log = log
+
+    def on_packet_routed(self, router, packet, to_internal):
+        self.log.append(self.tag)
+
+
+def test_observers_called_in_subscription_order(sim):
+    net = _line(sim)
+    log = []
+    for tag in ("first", "second", "third"):
+        net.router(1).add_observer(_Tagged(tag, log))
+    _send_across(net, sim, 2)
+    assert log == ["first", "second", "third"]
+
+
+def test_observer_not_wanting_routing_events_is_skipped(sim):
+    net = _line(sim)
+    log = []
+    quiet = _Tagged("quiet", log)
+    quiet.wants_routing_events = False
+    net.router(1).add_observer(quiet)
+    net.router(1).add_observer(_Tagged("loud", log))
+    _send_across(net, sim, 2)
+    assert log == ["loud"]
+    quiet.wants_routing_events = True
+    net.router(1).refresh_handlers()
+    _send_across(net, sim, 2)
+    assert log == ["loud", "quiet", "loud"]
+
+
+def test_removed_observer_stops_receiving(sim, recording_observer):
+    net = _line(sim)
+    net.router(1).add_observer(recording_observer)
+    net.router(1).remove_observer(recording_observer)
+    _send_across(net, sim, 2)
     assert recording_observer.routed == []
 
 
-def test_failed_router_ignores_events(recording_observer):
-    router = Router(0)
+def test_failed_router_ignores_events(sim, recording_observer):
+    net = _line(sim)
+    router = net.router(1)
     router.add_observer(recording_observer)
     router.fail()
-    router.notify_routed(Packet(0, dest_task=2), to_internal=False)
+    _send_across(net, sim, 2)
     assert router.packets_forwarded == 0
+    assert router.task_route_counts == {}
     assert recording_observer.routed == []
     assert all(not port.enabled for port in router.ports.values())
 
 
-def test_record_port_statistics():
-    router = Router(0)
-    router.record_port("N", incoming=True)
-    router.record_port("E", incoming=False)
-    assert router.ports["N"].packets_in == 1
-    assert router.ports["E"].packets_out == 1
+def test_port_counters_follow_the_packet(sim):
+    """Entry ports count in, exit ports count out, the sink counts L."""
+    net = _line(sim)
+    _send_across(net, sim, 2)
+    counts = {
+        (node, name): (port.packets_in, port.packets_out)
+        for node in (0, 1, 2)
+        for name, port in net.router(node).ports.items()
+        if port.packets_in or port.packets_out
+    }
+    assert counts == {
+        (0, EAST): (0, 1),
+        (1, WEST): (1, 0),
+        (1, EAST): (0, 1),
+        (2, WEST): (1, 0),
+        (2, INTERNAL): (0, 1),
+    }
 
 
 class TestRcap:
@@ -89,6 +156,35 @@ class TestRcap:
         router.fail()
         with pytest.raises(RuntimeError):
             router.rcap_write({"router_latency": 5})
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"routing_mode": "bogus"},
+            {"recent_queue_depth": 0},
+            {"router_latency": -10},
+            {"router_latency": 5, "routing_mode": "bogus"},
+        ],
+        ids=["mode", "queue-depth", "latency", "good-with-bad"],
+    )
+    def test_invalid_value_rejected_and_nothing_applied(self, settings):
+        router = Router(0)
+        before = router.rcap_read()
+        with pytest.raises(ValueError):
+            router.rcap_write(settings)
+        assert router.rcap_read() == before
+
+    def test_unknown_setting_applies_nothing(self):
+        router = Router(0)
+        before = router.rcap_read()
+        with pytest.raises(KeyError):
+            router.rcap_write({"router_latency": 5, "no_such_setting": 1})
+        assert router.rcap_read() == before
+
+    def test_config_methods_are_not_settings(self):
+        router = Router(0)
+        with pytest.raises(KeyError):
+            router.rcap_write({"copy": None})
 
 
 class TestRouterConfig:

@@ -34,11 +34,26 @@ class TestProviderDirectory:
         assert directory.providers(2) == []
         assert directory.providers(3) == [5]
 
-    def test_set_same_task_is_noop_for_version(self, directory):
+    def test_set_same_task_drops_no_ranking(self, directory):
         directory.set_task(5, 2)
-        version = directory.version
+        ranked = directory.ranked_providers(0, 2)
         directory.set_task(5, 2)
-        assert directory.version == version
+        assert directory.ranked_providers(0, 2) is ranked
+
+    def test_task_switch_keeps_other_tasks_rankings(self, directory):
+        """Switching a node between A and B leaves C's ranking cached."""
+        directory.set_task(0, 1)
+        directory.set_task(9, 3)
+        other = directory.ranked_providers(5, 3)
+        assert directory.ranked_providers(5, 1) == [0]
+        directory.set_task(0, 2)
+        assert directory.ranked_providers(5, 3) is other
+        assert directory.ranked_providers(5, 1) == []
+        assert directory.ranked_providers(5, 2) == [0]
+        directory.set_task(0, 1)
+        assert directory.ranked_providers(5, 3) is other
+        assert directory.ranked_providers(5, 1) == [0]
+        assert directory.ranked_providers(5, 2) == []
 
     def test_mark_failed_removes_from_providers(self, directory):
         directory.set_task(5, 2)
@@ -254,3 +269,53 @@ def test_policy_paths_avoid_failed_links(src, dst, cuts):
     assert not (hops & edges)
     assert path[0] == src
     assert path[-1] == dst
+
+
+_DIRECTORY_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(("set", "fail", "recover")),
+        st.integers(min_value=0, max_value=11),
+        st.sampled_from((None, 1, 2, 3)),
+        st.sets(st.integers(min_value=0, max_value=11), max_size=4),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=_DIRECTORY_STEPS)
+def test_rankings_match_brute_force(steps):
+    """After every update, cached lookups equal a fresh (distance, id) sort
+    of the live providers, with exclusions given as a set or a tuple."""
+    mesh = MeshTopology(4, 3)
+    directory = ProviderDirectory(mesh)
+    tasks, failed = {}, set()
+    for op, node, task, exclude in steps:
+        if op == "set":
+            if node in failed:
+                continue  # a failed node runs nothing: its PE is halted
+            directory.set_task(node, task)
+            tasks[node] = task
+        elif op == "fail":
+            directory.mark_failed(node)
+            failed.add(node)
+            tasks[node] = None
+        else:
+            directory.mark_recovered(node)
+            failed.discard(node)
+        for task_id in (1, 2, 3):
+            live = [n for n, t in tasks.items() if t == task_id]
+            for origin in range(mesh.num_nodes):
+                expected = sorted(
+                    live, key=lambda n: (mesh.manhattan(origin, n), n)
+                )
+                allowed = [n for n in expected if n not in exclude]
+                nearest = allowed[0] if allowed else None
+                assert directory.nearest_provider(
+                    origin, task_id, exclude) == nearest
+                assert directory.ranked_providers(origin, task_id) == expected
+                assert directory.nearest_provider(
+                    origin, task_id, tuple(exclude)) == nearest
+                assert directory.nearest_provider(origin, task_id) == (
+                    expected[0] if expected else None
+                )

@@ -88,3 +88,17 @@ def test_upload_model_params_broadcast():
 def test_rcap_write_reaches_router(platform):
     platform.controller.rcap_write(5, {"router_latency": 9})
     assert platform.network.router(5).config.router_latency == 9
+
+
+def test_rcap_write_rejects_a_bad_setting_at_write_time():
+    """A negative latency fails the write, not a hop later in the run."""
+    platform = CenturionPlatform(
+        PlatformConfig.small(), model_name="ffw", seed=11
+    )
+    router = platform.network.router(5)
+    before = router.rcap_read()
+    with pytest.raises(ValueError):
+        platform.controller.rcap_write(5, {"router_latency": -10})
+    assert router.rcap_read() == before
+    platform.run()
+    assert router.packets_forwarded > 0

@@ -8,6 +8,7 @@ idempotence against the scripted recovery path).
 
 import pytest
 
+from repro.noc.packet import Packet, PacketStatus
 from repro.platform.centurion import CenturionPlatform
 from repro.platform.config import PlatformConfig
 from repro.platform.dynamics import (
@@ -224,21 +225,30 @@ def test_overlapping_pressures_tightest_limit_governs():
     assert sim.now >= 50_000
 
 
+def _send_over_busy_link(network, wait):
+    """Send a packet from node 0 to node 1 (the only provider of a fresh
+    task) while the 0 -> 1 link stays busy for ``wait`` µs."""
+    task = max(network.directory.task_census()) + 1
+    network.directory.set_task(1, task)
+    link = network.links[(0, 1)]
+    link.busy_until = network.sim.now + wait
+    packet = Packet(src_node=0, dest_task=task, created_at=0)
+    network.send(packet, 0)
+    return packet, link
+
+
 def test_pressure_drops_waiting_packets():
     """A pressured router drops on waits the global bound tolerates."""
     platform = _platform()
     network = platform.network
     network.set_deadlock_pressure(0, 10)
-    link = network.links[(0, 1)]
-    link.busy_until = platform.sim.now + 1_000  # wait far above the limit
-    from repro.noc.packet import Packet, PacketStatus
-
-    packet = Packet(src_node=0, dest_task=None, created_at=0)
-    packet.dest_node = 1
     before = network.stats["dropped_deadlock"]
-    assert network._route_step(packet, 0) is None
+    pending = platform.sim.pending_events
+    packet, link = _send_over_busy_link(network, 1_000)
     assert network.stats["dropped_deadlock"] == before + 1
     assert packet.status == PacketStatus.DROPPED_DEADLOCK
+    assert platform.sim.pending_events == pending  # no hop posted
+    assert link.busy_until == platform.sim.now + 1_000
 
 
 def test_unpressured_wait_still_tolerated():
@@ -247,14 +257,12 @@ def test_unpressured_wait_still_tolerated():
     network = platform.network
     network.set_deadlock_pressure(0, 10)
     network.clear_deadlock_pressure(0)
-    link = network.links[(0, 1)]
-    link.busy_until = platform.sim.now + 1_000
-    from repro.noc.packet import Packet
-
-    packet = Packet(src_node=0, dest_task=None, created_at=0)
-    packet.dest_node = 1
-    assert network._route_step(packet, 0) is not None
+    pending = platform.sim.pending_events
+    packet, link = _send_over_busy_link(network, 1_000)
     assert network.stats["dropped_deadlock"] == 0
+    assert packet.status == PacketStatus.IN_FLIGHT
+    assert platform.sim.pending_events == pending + 1  # the next hop
+    assert link.busy_until > platform.sim.now + 1_000  # link claimed
 
 
 # -- watchdog-driven autonomous recovery -------------------------------------

@@ -1,0 +1,101 @@
+"""Python calls per paper cell: a host-cost counter that repeats exactly.
+
+Runs the six Table II paper cells (``none``/``ni``/``ffw`` x faults 0
+and 8, one seed, the default :class:`~repro.platform.config.PlatformConfig`)
+through ``run_single`` under cProfile, and prints for each cell the
+total Python calls, the dispatched kernel events, the NoC hops and a
+digest of the result's row, NoC stats and app stats, then the six-cell
+call total.  Wall time on a shared host moves by tens of per cent
+between runs; these counts move only when the code does.  Call counts
+depend on the interpreter, so the Python version is printed with them.
+
+Usage::
+
+    make counters
+    PYTHONPATH=src python tools/count_calls.py [--seed 1000]
+"""
+
+import argparse
+import cProfile
+import hashlib
+import json
+import pstats
+import sys
+
+from repro.experiments import runner
+from repro.platform.config import PlatformConfig
+
+#: The Table II cells counted by default: (model, faults).
+PAPER_CELLS = tuple(
+    (model, faults) for model in ("none", "ni", "ffw") for faults in (0, 8)
+)
+
+
+def result_digest(result):
+    """Short SHA-256 of a result's row, NoC stats and app stats.
+
+    The canonical form is sorted-key JSON read back once, so integer
+    keys hash like those of a record read back from a store.
+    """
+    parts = (result.as_row(), result.noc_stats, result.app_stats)
+    canonical = json.dumps(
+        json.loads(json.dumps(parts)), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+def count_cell(model, seed, faults, config=None):
+    """Run one cell under cProfile and return its counters.
+
+    The result is a dict with ``calls`` (cProfile's call total),
+    ``dispatched`` (the kernel's ``dispatched_events``), ``hops`` and
+    ``digest``.
+    """
+    built = []
+
+    class Recorded(runner.CenturionPlatform):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    original = runner.CenturionPlatform
+    runner.CenturionPlatform = Recorded
+    profile = cProfile.Profile()
+    try:
+        profile.enable()
+        try:
+            result = runner.run_single(
+                model, seed, faults=faults, config=config, keep_series=False
+            )
+        finally:
+            profile.disable()
+    finally:
+        runner.CenturionPlatform = original
+    return {
+        "calls": pstats.Stats(profile).total_calls,
+        "dispatched": built[-1].sim.dispatched_events,
+        "hops": result.noc_stats["hops"],
+        "digest": result_digest(result),
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1000)
+    args = parser.parse_args(argv)
+    print("python {}".format(sys.version.split()[0]))
+    print("{:<10} {:>12} {:>10} {:>8}  {}".format(
+        "cell", "calls", "events", "hops", "digest"))
+    total = 0
+    for model, faults in PAPER_CELLS:
+        counts = count_cell(model, args.seed, faults, PlatformConfig())
+        total += counts["calls"]
+        print("{:<10} {:>12,} {:>10,} {:>8,}  {}".format(
+            "{}/{}".format(model, faults), counts["calls"],
+            counts["dispatched"], counts["hops"], counts["digest"]))
+    print("{:<10} {:>12,}".format("total", total))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
