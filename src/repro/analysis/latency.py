@@ -96,6 +96,8 @@ class LatencyCollector:
 
     Wraps the network's existing delivery handler, so installation order is
     irrelevant: build the platform first, then ``LatencyCollector.install``.
+    A delivery the wrapped handler rejects (returns False: a bounce) has
+    not ended the packet's trip and is not a sample.
     """
 
     def __init__(self, bucket_us=250, num_buckets=400):
@@ -111,12 +113,13 @@ class LatencyCollector:
         if self._network is not None:
             raise RuntimeError("collector already installed")
         self._network = network
-        self._inner_handler = network.deliver_handler
+        inner = self._inner_handler = network.deliver_handler
 
         def observing_handler(packet, node_id):
-            self.record(packet)
-            if self._inner_handler is not None:
-                self._inner_handler(packet, node_id)
+            # Read before the handler, which may send the packet on.
+            latency = packet.latency()
+            if inner is None or inner(packet, node_id) is not False:
+                self._add(packet.dest_task, latency)
 
         network.set_deliver_handler(observing_handler)
         return self
@@ -130,14 +133,16 @@ class LatencyCollector:
 
     def record(self, packet):
         """Record a delivered packet's latency (ignores undelivered)."""
-        latency = packet.latency()
+        self._add(packet.dest_task, packet.latency())
+
+    def _add(self, task, latency):
         if latency is None:
             return
         self.overall.add(latency)
-        stats = self.by_task.get(packet.dest_task)
+        stats = self.by_task.get(task)
         if stats is None:
             stats = LatencyStats(self.bucket_us, self.num_buckets)
-            self.by_task[packet.dest_task] = stats
+            self.by_task[task] = stats
         stats.add(latency)
 
     def summary(self):

@@ -13,11 +13,19 @@ Task-addressed delivery works like this:
    waits for the output channel (wormhole occupancy), and re-enters the hop
    engine at the downstream router;
 3. at the destination router the packet is checked against the directory —
-   if the node switched task or died while the packet was in flight, the
-   packet is re-resolved toward a new provider (counted as a reroute), which
-   is how traffic follows the adapting task topology;
+   if the node switched task while the packet was in flight, or the
+   provider became unreachable, the packet is re-resolved toward a new
+   provider (counted as a reroute), which is how traffic follows the
+   adapting task topology;
 4. delivery hands the packet to the ``deliver_handler`` installed by the
-   platform (the processing element's internal port).
+   platform (the processing element's internal port);
+5. a PE that cannot take the packet bounces it: after the PE's hold,
+   ``redirect`` sends it on to the nearest provider it has not bounced
+   off.  A task switch re-sends the PE's queue through ``requeue``.
+
+Only the network writes a packet's routing state and a router's
+``failed`` flag.  ``_resolve`` is the only place a provider is chosen
+and ``_reroute`` the only reroute-budget check.
 
 Hot-path notes
 --------------
@@ -72,6 +80,18 @@ class Network:
         being dropped (guards against pathological switch storms).
     trace:
         Optional :class:`repro.sim.trace.TraceRecorder`.
+
+    Counting rules, frozen because ``stats`` is hashed into records:
+
+    1. ``stats["sent"]`` counts a requeue's re-send too.
+    2. A requeue spends a reroute but skips the budget.
+    3. ``stats["reroutes"]`` counts a bounce only when the packet
+       re-enters, every in-flight re-resolution (dropped ones too) and
+       never a requeue.
+    4. A bounce from a node that failed during its hold counts a
+       reroute, then drops as ``dropped_fault``, unheard by observers.
+    5. After an unroutable first choice a re-resolved packet gets one
+       more routing attempt, then drops as ``dropped_no_provider``.
     """
 
     def __init__(self, sim, topology=None, flit_time=1, wire_latency=1,
@@ -161,7 +181,7 @@ class Network:
         if node_id in self.failed_nodes:
             return
         self.failed_nodes.add(node_id)
-        self.routers[node_id].fail()
+        self.routers[node_id].failed = True
         self.directory.mark_failed(node_id)
         self.policy.set_failed(self.failed_nodes)
         if self.trace is not None:
@@ -171,13 +191,14 @@ class Network:
         """Un-fail a router; routing tables heal and traffic flows again.
 
         The node rejoins as a blank forwarding element — it carries no
-        task until the platform (or its intelligence) assigns one, so the
-        provider directory needs no version bump.
+        task until the platform (or its intelligence) assigns one, so no
+        provider ranking changes.  The router's counters continue where
+        they stopped.
         """
         if node_id not in self.failed_nodes:
             return
         self.failed_nodes.discard(node_id)
-        self.routers[node_id].recover()
+        self.routers[node_id].failed = False
         self.directory.mark_recovered(node_id)
         self.policy.set_failed(self.failed_nodes)
         if self.trace is not None:
@@ -353,21 +374,17 @@ class Network:
         if from_node in self.failed_nodes:
             self._drop(packet, PacketStatus.DROPPED_FAULT)
             return False
-        dest = None
-        if siblings:
-            dest = self.directory.nearest_provider(
-                from_node, packet.dest_task, exclude=siblings
-            )
-        if dest is None:
-            # No siblings, or they took every provider: reuse the nearest.
-            dest = self.directory.nearest_provider(from_node, packet.dest_task)
-        if dest is None:
-            self._drop(packet, PacketStatus.DROPPED_NO_PROVIDER,
-                       at_node=from_node)
+        exclude = ()
+        if siblings and self.directory.nearest_provider(
+            from_node, packet.dest_task, exclude=siblings
+        ) is not None:
+            # A provider the siblings have not taken is left.  Once they
+            # hold every provider, the nearest is reused.
+            exclude = siblings
+        if not self._resolve(packet, from_node, exclude):
             return False
         if siblings is not None:
-            siblings.add(dest)
-        packet.dest_node = dest
+            siblings.add(packet.dest_node)
         self._arrive(packet, from_node)
         return True
 
@@ -386,31 +403,56 @@ class Network:
         siblings = set()
         return sum(self.send(packet, from_node, siblings) for packet in packets)
 
-    def redirect(self, packet, from_node, exclude=()):
-        """Divert an in-network packet toward another provider.
+    def requeue(self, packet, from_node):
+        """Re-send a packet queued at a PE that switched task: it spends
+        a reroute, skips the budget and counts as a send."""
+        packet.reroutes += 1
+        return self.send(packet, from_node)
 
-        Used by full processing-element buffers (backpressure): the packet
-        is re-resolved from ``from_node`` excluding the given providers and
-        re-enters the hop engine there.  Returns True unless the packet had
-        to be dropped (no alternative provider or reroute budget exhausted).
+    def redirect(self, packet, from_node):
+        """Send a packet bounced at ``from_node`` on to another provider.
+
+        The processing element at ``from_node`` could not take the packet
+        and held it (backpressure).  ``from_node`` joins the providers
+        the packet has bounced off, and the packet is re-resolved to the
+        nearest provider outside that set and re-enters the hop engine
+        there.  Returns True unless the packet had to be dropped (no
+        provider left or reroute budget exhausted).
         """
         packet.status = PacketStatus.IN_FLIGHT
         packet.delivered_at = None
-        if packet.reroutes > self.max_reroutes:
-            self._drop(packet, PacketStatus.DROPPED_NO_PROVIDER,
-                       at_node=from_node)
-            return False
-        dest = self.directory.nearest_provider(
-            from_node, packet.dest_task, exclude=exclude
-        )
-        if dest is None:
-            self._drop(packet, PacketStatus.DROPPED_NO_PROVIDER,
-                       at_node=from_node)
+        tried = packet.tried
+        if tried is None:
+            tried = packet.tried = {from_node}
+        else:
+            tried.add(from_node)
+        if not self._reroute(packet, from_node, tried):
             return False
         self.stats["reroutes"] += 1
-        packet.dest_node = dest
         self._arrive(packet, from_node)
         return True
+
+    def _resolve(self, packet, node, exclude=()):
+        """Stamp the nearest live provider outside ``exclude`` as the
+        packet's ``dest_node``, or drop the packet at ``node`` and return
+        False.  The only place a packet's provider is chosen."""
+        dest = self.directory.nearest_provider(
+            node, packet.dest_task, exclude
+        )
+        if dest is None:
+            self._drop(packet, PacketStatus.DROPPED_NO_PROVIDER, at_node=node)
+            return False
+        packet.dest_node = dest
+        return True
+
+    def _reroute(self, packet, node, exclude=()):
+        """Spend a reroute, then :meth:`_resolve`; past ``max_reroutes``
+        drop at ``node`` instead.  The only reroute-budget check."""
+        packet.reroutes += 1
+        if packet.reroutes > self.max_reroutes:
+            self._drop(packet, PacketStatus.DROPPED_NO_PROVIDER, at_node=node)
+            return False
+        return self._resolve(packet, node, exclude)
 
     # -- hop engine ---------------------------------------------------------------------
 
@@ -439,16 +481,16 @@ class Network:
                 self._deliver(packet, node, router)
                 return
             # Destination changed task while the packet was in flight:
-            # re-resolve toward the task's new nearest provider.
-            if not self._reresolve(packet, node):
-                return
-            if packet.dest_node == node:
-                self._deliver(packet, node, router)
+            # re-resolve toward the task's new nearest provider, which
+            # cannot be this node.
+            self.stats["reroutes"] += 1
+            if not self._reroute(packet, node):
                 return
         try:
             direction = self.policy.next_direction(node, packet.dest_node)
         except UnroutableError:
-            if not self._reresolve(packet, node, exclude=(packet.dest_node,)):
+            self.stats["reroutes"] += 1
+            if not self._reroute(packet, node, (packet.dest_node,)):
                 return
             if packet.dest_node == node:
                 self._deliver(packet, node, router)
@@ -488,18 +530,17 @@ class Network:
             self.deadlock.record_drop(now)
             self._drop(packet, PacketStatus.DROPPED_DEADLOCK, at_node=node)
             return
-        if not router.failed:
-            task = packet.dest_task
-            counts = router.task_route_counts
-            counts[task] = counts.get(task, 0) + 1
-            router.packets_forwarded += 1
-            recent = router.recent_tasks
-            recent.append(task)
-            overflow = len(recent) - config.recent_queue_depth
-            if overflow > 0:
-                del recent[:overflow]
-            for handler in router.routed_handlers:
-                handler(router, packet, False)
+        task = packet.dest_task
+        counts = router.task_route_counts
+        counts[task] = counts.get(task, 0) + 1
+        router.packets_forwarded += 1
+        recent = router.recent_tasks
+        recent.append(task)
+        overflow = len(recent) - config.recent_queue_depth
+        if overflow > 0:
+            del recent[:overflow]
+        for handler in router.routed_handlers:
+            handler(router, packet, False)
         router.ports[direction].packets_out += 1
         arrival_time = link.transfer(packet, now + config.router_latency)
         if link.corrupting:
@@ -539,14 +580,13 @@ class Network:
     # -- terminal outcomes --------------------------------------------------------
 
     def _deliver(self, packet, node, router):
-        if not router.failed:
-            task = packet.dest_task
-            counts = router.task_route_counts
-            counts[task] = counts.get(task, 0) + 1
-            router.packets_sunk += 1
-            router.ports[INTERNAL].packets_out += 1
-            for handler in router.routed_handlers:
-                handler(router, packet, True)
+        task = packet.dest_task
+        counts = router.task_route_counts
+        counts[task] = counts.get(task, 0) + 1
+        router.packets_sunk += 1
+        router.ports[INTERNAL].packets_out += 1
+        for handler in router.routed_handlers:
+            handler(router, packet, True)
         packet.status = PacketStatus.DELIVERED
         packet.delivered_at = self.sim.now
         self.stats["delivered"] += 1
@@ -582,32 +622,9 @@ class Network:
         if self.deliver_handler is not None:
             self.deliver_handler(packet, node)
 
-    def _reresolve(self, packet, node, exclude=()):
-        """Pick a new provider for an in-flight packet; False if dropped."""
-        packet.reroutes += 1
-        self.stats["reroutes"] += 1
-        if packet.reroutes > self.max_reroutes:
-            self._drop(packet, PacketStatus.DROPPED_NO_PROVIDER,
-                       at_node=node)
-            return False
-        dest = self.directory.nearest_provider(
-            node, packet.dest_task, exclude=exclude
-        )
-        if dest is None:
-            self._drop(packet, PacketStatus.DROPPED_NO_PROVIDER,
-                       at_node=node)
-            return False
-        packet.dest_node = dest
-        return True
-
     def _drop(self, packet, status, at_node=None):
         packet.status = status
-        key = {
-            PacketStatus.DROPPED_DEADLOCK: "dropped_deadlock",
-            PacketStatus.DROPPED_NO_PROVIDER: "dropped_no_provider",
-            PacketStatus.DROPPED_FAULT: "dropped_fault",
-        }[status]
-        self.stats[key] += 1
+        self.stats[status] += 1
         if at_node is not None:
             router = self.routers.get(at_node)
             if router is not None:

@@ -13,7 +13,8 @@ _packet_ids = itertools.count()
 
 
 class PacketStatus:
-    """Lifecycle states of a packet."""
+    """Lifecycle states of a packet, set only by the network.  Each drop
+    status is also the ``Network.stats`` key that counts it."""
 
     IN_FLIGHT = "in_flight"
     DELIVERED = "delivered"
@@ -95,21 +96,11 @@ class Packet:
         #: arrive (the wire time is spent, delivery is counted) but the
         #: payload is garbage — the application must treat it as a miss.
         self.corrupted = False
-        #: Providers whose full buffers already bounced this packet; the
-        #: backpressure search never revisits them, so a packet hunting for
-        #: capacity expands outward instead of ping-ponging between two
-        #: saturated neighbours.
+        #: Providers that bounced this packet (``None`` before the first
+        #: bounce); ``Network.redirect`` never sends it back to one, so a
+        #: packet hunting for capacity expands outward instead of
+        #: ping-ponging between two saturated neighbours.
         self.tried = None
-
-    def mark_tried(self, node_id):
-        """Remember a provider that bounced this packet."""
-        if self.tried is None:
-            self.tried = set()
-        self.tried.add(node_id)
-
-    def tried_providers(self):
-        """Frozen view of bounced providers (empty tuple when none)."""
-        return self.tried if self.tried is not None else ()
 
     def latency(self):
         """End-to-end latency in µs, or ``None`` if not delivered."""

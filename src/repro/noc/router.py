@@ -15,20 +15,16 @@ from repro.noc.topology import DIRECTIONS, INTERNAL
 class Port:
     """One router port: an attachment point with per-port statistics."""
 
-    __slots__ = ("name", "enabled", "packets_in", "packets_out")
+    __slots__ = ("name", "packets_in", "packets_out")
 
     def __init__(self, name):
         self.name = name
-        self.enabled = True
         self.packets_in = 0
         self.packets_out = 0
 
     def __repr__(self):
-        return "Port({}, in={}, out={}, {})".format(
-            self.name,
-            self.packets_in,
-            self.packets_out,
-            "enabled" if self.enabled else "disabled",
+        return "Port({}, in={}, out={})".format(
+            self.name, self.packets_in, self.packets_out
         )
 
 
@@ -95,6 +91,10 @@ class Router:
     events.  The network's hop engine updates the counters, the queue and
     the port statistics inline on each visit and calls
     :attr:`routed_handlers` itself: a router visit is one Python frame.
+
+    Failure belongs to the network: only its ``fail_node`` and
+    ``recover_node`` write :attr:`failed`, which the router reads to
+    refuse RCAP writes and to stay silent about drops.
     """
 
     def __init__(self, node_id, config=None):
@@ -177,24 +177,6 @@ class Router:
         self.packets_dropped_here += 1
         for handler in self._dropped_handlers:
             handler(self, packet)
-
-    # -- failure ------------------------------------------------------------------
-
-    def fail(self):
-        """Hard-fail the router: all ports die and observers are silenced."""
-        self.failed = True
-        for port in self.ports.values():
-            port.enabled = False
-
-    def recover(self):
-        """Revive a failed router (transient-fault recovery path).
-
-        Ports re-enable and counters continue where they stopped; the
-        node rejoins the mesh as a blank forwarding element.
-        """
-        self.failed = False
-        for port in self.ports.values():
-            port.enabled = True
 
     # -- RCAP ---------------------------------------------------------------------
 

@@ -160,8 +160,7 @@ class ProcessingElement:
         requeued = list(self.queue)
         self.queue.clear()
         for packet in requeued:
-            packet.reroutes += 1
-            self.network.send(packet, self.node_id)
+            self.network.requeue(packet, self.node_id)
         self._configure_generation()
         self._notify("on_task_changed", old, task_id)
 
@@ -251,48 +250,32 @@ class ProcessingElement:
     def receive(self, packet):
         """Internal-port delivery from the router.
 
-        Returns True if the packet was queued, False if it was diverted
-        (buffer full / task mismatch) or discarded (halted node).
+        Returns True if the packet was queued.  Otherwise it bounces
+        (full buffer, gated or halted node, or a task switch in the same
+        microsecond) and False is returned: the packet blocks for a hold
+        interval (wormhole backpressure), then ``Network.redirect`` sends
+        it to the nearest provider it has not yet bounced off — never
+        synchronously, so a node still listed as nearest provider cannot
+        create a delivery loop.  The hold also makes starved-task packets
+        grow visibly old, the lateness signal Foraging-for-Work keys on.
         """
-        if self.halted or not self.clock_enabled:
-            self._divert(packet)
-            return False
-        if packet.dest_task != self.task_id:
-            # The node switched task in the same microsecond the packet was
-            # delivered; push it back into the network to find the task's
-            # current provider.
-            self._divert(packet)
-            return False
-        if len(self.queue) >= self.queue_capacity:
+        accepting = (
+            not self.halted
+            and self.clock_enabled
+            and packet.dest_task == self.task_id
+        )
+        if accepting and len(self.queue) < self.queue_capacity:
+            self.queue.append(packet)
+            self._notify("on_internal_sink", packet)
+            self._try_start()
+            return True
+        if accepting:
             self.overflows += 1
-            self._divert(packet)
-            return False
-        self.queue.append(packet)
-        self._notify("on_internal_sink", packet)
-        self._try_start()
-        return True
-
-    def _divert(self, packet):
-        """Reject a delivered packet back into the network, asynchronously.
-
-        Covers buffer overflow, task mismatch and gated/halted nodes.  The
-        packet blocks for a hold interval (wormhole backpressure) and is
-        then redirected to the nearest provider it has not yet bounced off —
-        never synchronously, so a node that is still listed as nearest
-        provider cannot create a delivery loop.  The hold also makes
-        starved-task packets grow visibly old, which is the lateness signal
-        the Foraging-for-Work model keys on.
-        """
-        packet.reroutes += 1
-        packet.mark_tried(self.node_id)
-        # mark_tried made the set, so the redirect sees later additions.
         self.sim.schedule(
             self.overflow_hold_us,
-            partial(
-                self.network.redirect, packet, self.node_id,
-                packet.tried_providers(),
-            ),
+            partial(self.network.redirect, packet, self.node_id),
         )
+        return False
 
     # -- execution engine ---------------------------------------------------------------
 

@@ -76,6 +76,26 @@ class TestLatencyCollector:
         summary = collector.summary()
         assert summary["overall"]["count"] == collector.overall.count
 
+    def test_records_only_deliveries_the_pe_accepts(self):
+        """A bounced delivery is no end-to-end latency: one sample per
+        packet a PE accepted."""
+        platform = CenturionPlatform(
+            PlatformConfig.small(), model_name="none", seed=31
+        )
+        receive = platform.network.deliver_handler
+        outcomes = []
+
+        def counting(packet, node_id):
+            accepted = receive(packet, node_id)
+            outcomes.append(accepted)
+            return accepted
+
+        platform.network.set_deliver_handler(counting)
+        collector = LatencyCollector().install(platform.network)
+        platform.run(100_000)
+        assert False in outcomes  # the cell bounces packets
+        assert collector.overall.count == outcomes.count(True) > 0
+
     def test_delivery_still_reaches_pes(self):
         platform = CenturionPlatform(
             PlatformConfig.small(), model_name="none", seed=31

@@ -1,5 +1,8 @@
 """Shared fixtures and helpers for the test suite."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -32,12 +35,16 @@ class RecordingObserver:
 
     def __init__(self):
         self.routed = []
+        self.dropped = []
         self.sinks = []
         self.completions = []
         self.task_changes = []
 
     def on_packet_routed(self, router, packet, to_internal):
         self.routed.append((router.node_id, packet.dest_task, to_internal))
+
+    def on_packet_dropped(self, router, packet):
+        self.dropped.append((router.node_id, packet.packet_id))
 
     def on_internal_sink(self, pe, packet):
         self.sinks.append((pe.node_id, packet.dest_task))
@@ -52,3 +59,13 @@ class RecordingObserver:
 @pytest.fixture
 def recording_observer():
     return RecordingObserver()
+
+
+@pytest.fixture(scope="session")
+def count_calls():
+    """The ``tools/count_calls.py`` module behind ``make counters``."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "count_calls.py"
+    spec = importlib.util.spec_from_file_location("count_calls", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -150,24 +150,40 @@ def test_packet_arriving_at_failed_router_dropped(net, sim):
     net.directory.set_task(3, 2)
     packet = Packet(src_node=0, dest_task=2)
     net.send(packet, 0)
-    # Fail an XY path router while the packet is in flight toward it.
-    sim.schedule(1, lambda: net.routers[2].fail() or net.failed_nodes.add(2))
+    # Fail an XY path router while the packet is on the link into it:
+    # routers 0 and 1 forwarded it at t=0 and t=7, it reaches 2 at t=14.
+    sim.run_until(10)
+    assert packet.hops == 2
+    net.fail_node(2)
     sim.run_until(10_000)
-    assert packet.status in (
-        PacketStatus.DROPPED_FAULT,
-        PacketStatus.DELIVERED,  # if it already passed node 2
-    )
+    assert packet.status == PacketStatus.DROPPED_FAULT
+    assert net.stats["dropped_fault"] == 1
+    assert net.delivered_log == []
 
 
 def test_redirect_moves_packet_to_alternative(net, sim):
     net.directory.set_task(5, 2)
     net.directory.set_task(10, 2)
     packet = Packet(src_node=0, dest_task=2)
-    packet.mark_tried(5)
-    assert net.redirect(packet, 5, exclude=packet.tried_providers())
+    assert net.redirect(packet, 5)
+    assert packet.tried == {5}
     sim.run_until(10_000)
     assert packet.status == PacketStatus.DELIVERED
     assert net.delivered_log[0][1] == 10
+
+
+def test_redirect_accumulates_bounced_providers(net, sim):
+    """Each bounce adds its node to ``packet.tried``; the packet moves
+    outward through 5 → 6 → 10 and drops once all three bounced it."""
+    _providers(net, 5, 6, 10)
+    packet = Packet(src_node=0, dest_task=2)
+    for bouncer, next_provider in ((5, 6), (6, 10)):
+        assert net.redirect(packet, bouncer)
+        sim.run_until(sim.now + 1_000)
+        assert net.delivered_log[-1] == (packet, next_provider)
+    assert not net.redirect(packet, 10)
+    assert packet.tried == {5, 6, 10}
+    assert packet.status == PacketStatus.DROPPED_NO_PROVIDER
 
 
 def test_redirect_exhaustion_drops(net):

@@ -47,17 +47,10 @@ def test_is_late_with_deadline():
     assert packet.is_late(501)
 
 
-def test_tried_providers_empty_initially():
+def test_tried_empty_initially():
     packet = Packet(0, 1)
-    assert len(packet.tried_providers()) == 0
-
-
-def test_mark_tried_accumulates():
-    packet = Packet(0, 1)
-    packet.mark_tried(5)
-    packet.mark_tried(9)
-    packet.mark_tried(5)
-    assert set(packet.tried_providers()) == {5, 9}
+    assert packet.tried is None
+    assert packet.reroutes == 0
 
 
 def test_instance_and_branch_carried():

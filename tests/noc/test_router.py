@@ -3,7 +3,7 @@
 import pytest
 
 from repro.noc.network import Network
-from repro.noc.packet import Packet
+from repro.noc.packet import Packet, PacketStatus
 from repro.noc.router import Router, RouterConfig
 from repro.noc.topology import DIRECTIONS, EAST, INTERNAL, WEST, MeshTopology
 
@@ -108,15 +108,30 @@ def test_removed_observer_stops_receiving(sim, recording_observer):
 
 
 def test_failed_router_ignores_events(sim, recording_observer):
+    """A packet on the link into a router that fails drops there as a
+    fault, and the dead router counts and reports nothing."""
     net = _line(sim)
     router = net.router(1)
     router.add_observer(recording_observer)
-    router.fail()
-    _send_across(net, sim, 2)
+    net.directory.set_task(2, 2)
+    packet = Packet(0, dest_task=2)
+    net.send(packet, 0)
+    sim.run_until(4)  # router 0 forwarded it at t=0; it reaches 1 at t=7
+    assert packet.hops == 1
+    net.fail_node(1)
+    assert router.failed
+    sim.run_until(1_000)
+    assert packet.status == PacketStatus.DROPPED_FAULT
+    assert net.stats["dropped_fault"] == 1
     assert router.packets_forwarded == 0
     assert router.task_route_counts == {}
     assert recording_observer.routed == []
-    assert all(not port.enabled for port in router.ports.values())
+    assert recording_observer.dropped == []
+    assert router.packets_dropped_here == 0
+    assert all(
+        port.packets_in == port.packets_out == 0
+        for port in router.ports.values()
+    )
 
 
 def test_port_counters_follow_the_packet(sim):
@@ -151,11 +166,14 @@ class TestRcap:
         with pytest.raises(KeyError):
             router.rcap_write({"no_such_setting": 1})
 
-    def test_write_to_failed_router_rejected(self):
-        router = Router(0)
-        router.fail()
+    def test_write_to_failed_router_rejected(self, sim):
+        net = _line(sim)
+        net.fail_node(0)
         with pytest.raises(RuntimeError):
-            router.rcap_write({"router_latency": 5})
+            net.router(0).rcap_write({"router_latency": 5})
+        net.recover_node(0)
+        net.router(0).rcap_write({"router_latency": 5})
+        assert net.router(0).rcap_read()["router_latency"] == 5
 
     @pytest.mark.parametrize(
         "settings",

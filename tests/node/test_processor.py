@@ -145,6 +145,7 @@ class TestBackpressure:
         pes[10].set_task(2)
         packet = _packet(task=2)
         assert not pes[5].receive(packet)
+        assert pes[5].overflows == 0  # a bounce, but not a full buffer
         sim.run_until(10_000)
         assert packet.status == PacketStatus.DELIVERED
         assert pes[10].completions == 1
@@ -162,13 +163,15 @@ class TestBackpressure:
         assert pes[10].completions >= 1
 
     def test_overflow_marks_packet_tried(self, harness):
-        _sim, _net, _app, pes = harness
+        sim, _net, _app, pes = harness
         pes[5].set_task(2)
         packet = _packet()
         for _ in range(3):
             pes[5].receive(_packet())
         pes[5].receive(packet)
-        assert 5 in packet.tried_providers()
+        assert packet.tried is None  # the network marks it, after the hold
+        sim.run_until(pes[5].overflow_hold_us)
+        assert 5 in packet.tried
 
 
 class TestGeneration:
@@ -197,7 +200,8 @@ class TestKnobsAndFaults:
         pes[5].set_task(2)
         pes[5].set_clock_enabled(False)
         packet = _packet()
-        pes[5].receive(packet)  # resent, node gated
+        assert not pes[5].receive(packet)  # resent, node gated
+        assert pes[5].overflows == 0
         assert pes[5].completions == 0
 
     def test_clock_reenable_resumes(self, harness):

@@ -16,6 +16,7 @@ Usage::
 """
 
 import argparse
+import contextlib
 import cProfile
 import hashlib
 import json
@@ -44,12 +45,12 @@ def result_digest(result):
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def count_cell(model, seed, faults, config=None):
-    """Run one cell under cProfile and return its counters.
+@contextlib.contextmanager
+def recorded_platforms():
+    """Collect the platforms ``run_single`` builds while the block runs.
 
-    The result is a dict with ``calls`` (cProfile's call total),
-    ``dispatched`` (the kernel's ``dispatched_events``), ``hops`` and
-    ``digest``.
+    Yields a list; each platform ``run_single`` builds inside the block
+    is appended to it, so its kernel counters can be read afterwards.
     """
     built = []
 
@@ -60,8 +61,21 @@ def count_cell(model, seed, faults, config=None):
 
     original = runner.CenturionPlatform
     runner.CenturionPlatform = Recorded
-    profile = cProfile.Profile()
     try:
+        yield built
+    finally:
+        runner.CenturionPlatform = original
+
+
+def count_cell(model, seed, faults, config=None):
+    """Run one cell under cProfile and return its counters.
+
+    The result is a dict with ``calls`` (cProfile's call total),
+    ``dispatched`` (the kernel's ``dispatched_events``), ``hops`` and
+    ``digest``.
+    """
+    profile = cProfile.Profile()
+    with recorded_platforms() as built:
         profile.enable()
         try:
             result = runner.run_single(
@@ -69,8 +83,6 @@ def count_cell(model, seed, faults, config=None):
             )
         finally:
             profile.disable()
-    finally:
-        runner.CenturionPlatform = original
     return {
         "calls": pstats.Stats(profile).total_calls,
         "dispatched": built[-1].sim.dispatched_events,
