@@ -42,8 +42,10 @@ bench-baseline:
 	$(PYTHON) -m benchmarks.harness --update-baseline
 
 # Python calls, kernel events, hops and result digest of the six paper
-# cells under cProfile: a host-cost counter that repeats exactly (slow,
-# about a minute).  Not a gate.
+# cells under cProfile, then of the every-claim scenario cell (one event
+# of every fault kind) on its own line after the six-cell total: a
+# host-cost counter that repeats exactly (slow, about a minute).  Not a
+# gate.
 counters:
 	PYTHONPATH=src $(PYTHON) tools/count_calls.py
 

@@ -11,7 +11,13 @@ on the default :class:`~repro.platform.config.PlatformConfig`:
   of nodes failed at 500 ms): its ``network.stats`` and dispatched
   events.  It is the one known cell where a task switch requeues a
   packet already past the reroute budget, so it pins that counting
-  rule at scale.
+  rule at scale;
+* the every-claim scenario cell (``EVERY_CLAIM_CELL`` in
+  ``tools/count_calls.py``: an event of every fault kind, with claims
+  that overlap on one node, one edge and one router row): its digest,
+  dispatched events and hops, and the fault state it leaves at the
+  horizon.  The digest alone misses a wrong arbitration whose effect
+  on traffic happens to be invisible; the end state does not.
 
 A refactor of the NoC or the PE must leave every value here unchanged;
 a behaviour fix that moves one names it, with before and after, in
@@ -75,3 +81,26 @@ def test_telemetry_cell_matches_its_pin():
         "hops": 64_687,
     }
     assert platform.sim.dispatched_events == 125_577
+
+
+def test_every_claim_cell_matches_its_pin(count_calls):
+    model, config, scenario = count_calls.EVERY_CLAIM_CELL
+    with count_calls.recorded_platforms() as built:
+        result = run_single(
+            model, 1000, config=config, scenario=scenario,
+            keep_series=False,
+        )
+    platform = built[-1]
+    assert (
+        count_calls.result_digest(result),
+        platform.sim.dispatched_events,
+        result.noc_stats["hops"],
+    ) == ("f21cbbcf4bcd6524", 77_769, 40_251)
+    # The permanent degrades outlive the transient x8 claim on (40, 41),
+    # which runs at the x3 claim again once it lapses; every pressure
+    # claim was transient.
+    assert platform.network.degraded_links == {
+        (3, 19): 2, (40, 41): 3, (43, 59): 2, (45, 46): 2, (108, 109): 2,
+    }
+    assert platform.network.deadlock_pressure == {}
+    assert len(platform.faults.recovered) == 51
