@@ -78,11 +78,11 @@ derivable from the v1 files above, never required by them:
   key) and appends to a private ``results.worker-K.jsonl``, so
   independent processes or machines sharing the directory drain one
   campaign with no write contention and no file locks.  Readers merge
-  main + worker streams; :meth:`ResultStore.reconcile` (or ``gc``)
-  folds the worker streams back into ``results.jsonl`` verbatim.
+  main + worker streams; ``campaign gc --apply`` folds the worker
+  streams back into ``results.jsonl``.
 * **Management** (:mod:`repro.campaign.gc`) — ``campaign ls`` surveys
   directories (grid completion, orphaned/stale keys, superseded and
-  torn lines, unreconciled shards), ``campaign gc`` compacts them
+  torn lines, unfolded shards), ``campaign gc`` compacts them
   (dry-run by default; ``--apply`` rewrites atomically, folds shards,
   drops orphans/duplicates/torn lines and rebuilds the root index —
   which is also how any index/row divergence is repaired), and

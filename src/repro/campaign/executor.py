@@ -116,8 +116,8 @@ def run_campaign(spec, store=None, processes=None, progress=None,
         (0-based) only pending cells whose :func:`shard_of` equals ``K``
         execute here, and a path-opened store appends to this worker's
         private stream.  Independent processes or machines sharing the
-        store directory drain one campaign concurrently; reconcile (or
-        any later merged read) reassembles the full grid.
+        store directory drain one campaign concurrently; ``campaign gc
+        --apply`` (or any later merged read) reassembles the full grid.
     """
     started = time.perf_counter()
     sharded = bool(workers) and workers > 1

@@ -11,7 +11,7 @@ many lines a compaction would drop — superseded duplicates (an earlier
 record for a key that was written again), torn/garbage/blank lines, and
 orphaned rows (keys the directory's ``spec.json`` no longer expands to;
 directories without a readable spec get no orphan detection) — plus the
-worker streams a reconcile would fold in.  ``apply`` rewrites
+worker streams an ``apply`` would fold in.  ``apply`` rewrites
 ``results.jsonl`` atomically (temp file + ``os.replace``) with exactly
 one canonical line per surviving key in first-seen order, removes the
 worker streams, and rebuilds the root ``index.jsonl`` (compaction moves
@@ -76,7 +76,7 @@ class CampaignSummary:
     superseded: int = 0
     #: Torn tails, garbage and blank lines.
     torn: int = 0
-    #: Unreconciled worker shard streams.
+    #: Worker shard streams not yet folded into ``results.jsonl``.
     worker_files: int = 0
 
     def completion(self):
@@ -229,7 +229,7 @@ def gc_root(root, dirs=None, apply=False):
         indexed = index.keys()
         for _directory, _summary, scan, _orphans in surveys:
             # Only main-stream keys count: worker shard streams are
-            # deliberately unindexed until a reconcile folds them in.
+            # deliberately unindexed until a gc apply folds them in.
             main_keys = itertools.islice(scan.winners, scan.main_keys)
             index_missing += sum(1 for key in main_keys if key not in indexed)
     summaries = []

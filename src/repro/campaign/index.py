@@ -26,9 +26,8 @@ Dedup scope: the lookup key is the full simulation content hash
 fault axis, metric, config), so dedup never crosses differing spec
 payloads: two campaigns share a key exactly when the cell is the same
 simulation.  Worker shard streams are deliberately not indexed — they
-are transient; :meth:`~repro.campaign.store.ResultStore.reconcile`
-(or gc) folds them into ``results.jsonl``, where the next refresh
-picks them up.
+are transient; ``campaign gc --apply`` folds them into
+``results.jsonl``, where the next refresh picks them up.
 """
 
 import os

@@ -15,11 +15,9 @@ appends to its own ``results.worker-K.jsonl`` instead of the shared
 a filesystem — can drain one campaign without write contention or file
 locks.  Every reader merges the main stream plus all worker streams
 (main first, then workers in sorted name order; shards are key-disjoint
-so the order is immaterial), and :meth:`ResultStore.reconcile` folds the
-worker streams back into ``results.jsonl`` verbatim — byte-identical
-lines — and removes them.  Because records are keyed and last-write-wins,
-reconciliation needs no lock: a line duplicated by a rare race is merely
-superseded by itself.
+so the order is immaterial), and ``campaign gc --apply``
+(:func:`repro.campaign.gc.gc_root`) folds the worker streams back into
+``results.jsonl``, one canonical line per key, and removes them.
 
 The completed-key set is memoised: each stream is scanned exactly once,
 on open, and every ``has_result``/``__contains__`` check afterwards is a
@@ -143,9 +141,9 @@ def _ends_torn(path):
     """True when ``path`` ends in a line without its newline.
 
     Under the one-writer-per-stream contract a torn tail found before
-    the first append belongs to a dead writer, so both append sites
-    (:meth:`ResultStore.save_record`, :meth:`ResultStore.reconcile`)
-    terminate it first instead of gluing the next record onto it.
+    the first append belongs to a dead writer, so
+    :meth:`ResultStore.save_record` terminates it first instead of
+    gluing the next record onto it.
     """
     try:
         with open(path, "rb") as handle:
@@ -364,50 +362,6 @@ class ResultStore:
     def save_result(self, descriptor, result, key=None):
         """Append one finished cell and flush (the resume checkpoint)."""
         return self.save_record(encode_result(descriptor, result, key=key))
-
-    def reconcile(self):
-        """Fold every worker stream into ``results.jsonl`` and drop them.
-
-        Lock-free: complete lines are appended verbatim (byte-identical)
-        and keyed records make any racy duplicate merely self-superseding.
-        Each stream is re-read until its size is stable, so a worker that
-        finished flushing moments ago loses nothing — but reconcile is a
-        *post-fleet* operation: rows a still-running worker appends after
-        the final read are dropped with its stream.  Losing such a row
-        never corrupts data (results are deterministic; a later resume
-        simply re-executes the cell), it only discards work.  ``campaign
-        gc --apply`` runs this too.  Returns the number of lines folded.
-        """
-        paths = worker_files(self.directory)
-        if not paths:
-            return 0
-        self.close()
-        folded = 0
-        torn = _ends_torn(self.path)
-        with open(self.path, "a") as out:
-            for path in paths:
-                consumed = 0
-                while True:
-                    start = consumed
-                    with open(path, "rb") as handle:
-                        handle.seek(consumed)
-                        for line in handle:
-                            if not line.endswith(b"\n"):
-                                break  # torn tail: an append in flight
-                            consumed += len(line)
-                            if record_key(_decode_line(line)) is None:
-                                continue
-                            if torn:
-                                out.write("\n")
-                                torn = False
-                            out.write(line.decode("utf-8"))
-                            folded += 1
-                    if consumed == start:
-                        break  # size stable (or only a torn tail left)
-                    out.flush()
-                os.remove(path)
-            out.flush()
-        return folded
 
     def write_spec(self, spec):
         """Record provenance: the spec that last wrote to this store.

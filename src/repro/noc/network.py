@@ -177,12 +177,16 @@ class Network:
     # -- faults -------------------------------------------------------------------
 
     def fail_node(self, node_id):
-        """Kill a router (and its node's provider entry); reroutes adapt."""
+        """Kill a router (and its node's provider entry); reroutes adapt.
+
+        :attr:`failed_nodes` is the one record of a failed router: the
+        directory only loses the node's task.
+        """
         if node_id in self.failed_nodes:
             return
         self.failed_nodes.add(node_id)
         self.routers[node_id].failed = True
-        self.directory.mark_failed(node_id)
+        self.directory.set_task(node_id, None)
         self.policy.set_failed(self.failed_nodes)
         if self.trace is not None:
             self.trace.record(self.sim.now, "node_failed", node=node_id)
@@ -192,14 +196,13 @@ class Network:
 
         The node rejoins as a blank forwarding element — it carries no
         task until the platform (or its intelligence) assigns one, so no
-        provider ranking changes.  The router's counters continue where
-        they stopped.
+        provider ranking changes and the directory is not told.  The
+        router's counters continue where they stopped.
         """
         if node_id not in self.failed_nodes:
             return
         self.failed_nodes.discard(node_id)
         self.routers[node_id].failed = False
-        self.directory.mark_recovered(node_id)
         self.policy.set_failed(self.failed_nodes)
         if self.trace is not None:
             self.trace.record(self.sim.now, "node_recovered", node=node_id)

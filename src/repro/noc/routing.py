@@ -48,7 +48,6 @@ class ProviderDirectory:
         self.topology = topology
         self._providers = {}
         self._node_task = {}
-        self._failed = set()
         self._coords = [topology.coords(n) for n in topology.node_ids()]
         self._rankings = {}
         self._node_order = {}
@@ -72,27 +71,6 @@ class ProviderDirectory:
             self._providers.setdefault(task_id, set()).add(node_id)
             self._rankings.pop(task_id, None)
 
-    def mark_failed(self, node_id):
-        """Remove a failed node from all provider sets.
-
-        The ranking drop rides on :meth:`set_task`: rankings depend only
-        on the provider sets, and those change exactly when the node had
-        a live task to clear.
-        """
-        if node_id in self._failed:
-            return
-        self._failed.add(node_id)
-        self.set_task(node_id, None)
-
-    def mark_recovered(self, node_id):
-        """Readmit a recovered node (it rejoins task-less).
-
-        No ranking is dropped: the node held no task while failed, so the
-        provider sets are unchanged until something assigns it work
-        again.
-        """
-        self._failed.discard(node_id)
-
     # -- queries -------------------------------------------------------------
 
     def task_of(self, node_id):
@@ -111,10 +89,6 @@ class ProviderDirectory:
         """Mapping task id -> number of healthy providers."""
         return {task: len(nodes) for task, nodes in self._providers.items()
                 if nodes}
-
-    def is_failed(self, node_id):
-        """True when the node has been marked failed."""
-        return node_id in self._failed
 
     def nearest_provider(self, from_node, task_id, exclude=()):
         """Nearest healthy provider of ``task_id`` by Manhattan distance.

@@ -29,6 +29,7 @@ from repro.platform.config import PlatformConfig
 from repro.platform.controller import ExperimentController
 from repro.platform.dynamics import DynamicsController
 from repro.platform.faults import FaultInjector
+from repro.platform.scenario import FaultScenario
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -221,9 +222,18 @@ class CenturionPlatform:
         return self.sampler.series
 
     def inject_faults(self, count, at_us=None, victims=None):
-        """Schedule a fault campaign (defaults to the config's 500 ms)."""
+        """Fail ``count`` nodes permanently at ``at_us`` (paper §IV-B).
+
+        The one-event scenario :meth:`FaultScenario.burst
+        <repro.platform.scenario.FaultScenario.burst>`: victims are drawn
+        from the nodes still alive when the faults land, unless
+        ``victims`` pins them.  ``at_us`` defaults to the config's
+        ``fault_time_us`` (500 ms).  Returns the applied scenario.
+        """
         at = self.config.fault_time_us if at_us is None else at_us
-        self.faults.schedule(count, at, victims=victims)
+        return self.inject_scenario(
+            FaultScenario.burst(count, at, victims=victims)
+        )
 
     def inject_scenario(self, scenario):
         """Schedule a declarative fault scenario.
@@ -233,8 +243,6 @@ class CenturionPlatform:
         generalised fault surface: link failures, transients, waves and
         spatial patterns alongside the paper's permanent bursts.
         """
-        from repro.platform.scenario import FaultScenario
-
         if isinstance(scenario, str):
             scenario = FaultScenario.from_json_file(scenario)
         elif isinstance(scenario, dict):

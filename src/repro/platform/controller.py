@@ -245,9 +245,7 @@ class ExperimentController:
             aim.shutdown()
         platform.network.fail_node(node_id)
         self.faults_injected.append((platform.sim.now, node_id))
-        dynamics = getattr(platform, "dynamics", None)
-        if dynamics is not None:
-            dynamics.note_node_killed(node_id)
+        platform.dynamics.note_node_killed(node_id)
 
     def recover_node(self, node_id):
         """Un-fail one node: processor restarts blank, router revives.
@@ -267,9 +265,7 @@ class ExperimentController:
             aim.restart()
         platform.network.recover_node(node_id)
         self.faults_recovered.append((platform.sim.now, node_id))
-        dynamics = getattr(platform, "dynamics", None)
-        if dynamics is not None:
-            dynamics.note_node_recovered(node_id)
+        platform.dynamics.note_node_recovered(node_id)
 
     def alive_nodes(self):
         """Node ids that have not been fault-injected."""

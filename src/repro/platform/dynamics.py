@@ -39,52 +39,23 @@ to a build without this module.
 """
 
 
-class ThresholdThrottleGovernor:
-    """Naive bang-bang policy: throttle above ``hot_c``, restore at it.
-
-    Both transitions trip on the same threshold, so a node hovering at
-    the boundary chatters — which is exactly the pathology
-    :class:`HysteresisGovernor` exists to fix.  Kept as the simplest
-    sweepable baseline.
-    """
-
-    name = "threshold-throttle"
-
-    def __init__(self, hot_c, throttle_mhz):
-        self.hot_c = hot_c
-        self.cool_target_c = hot_c
-        self.throttle_mhz = throttle_mhz
-        self.changes = 0
-
-    def decide(self, now, temperature_c, throttled):
-        """``"throttle"``, ``"restore"`` or ``None`` (hold)."""
-        if not throttled and temperature_c > self.hot_c:
-            self.changes += 1
-            return "throttle"
-        if throttled and temperature_c <= self.hot_c:
-            self.changes += 1
-            return "restore"
-        return None
-
-    def earliest_change_us(self, now):
-        """First time a transition is permitted (no dwell: ``now``)."""
-        return now
-
-
 class HysteresisGovernor:
     """Two-threshold policy with a minimum dwell between changes.
 
     Throttles above ``hot_c``, restores only at or below ``cool_c``
-    (< ``hot_c``), and refuses any transition within ``dwell_us`` of the
-    previous one — so the frequency knob can never oscillate faster than
-    the dwell time (pinned by the hypothesis property layer).
+    (<= ``hot_c``), and refuses any transition within ``dwell_us`` of
+    the previous one — so the frequency knob can never oscillate faster
+    than the dwell time (pinned by the hypothesis property layer).
+
+    With ``cool_c == hot_c`` and no dwell it is the naive bang-bang
+    ``"threshold-throttle"`` policy: both transitions trip on the same
+    threshold, so a node hovering at the boundary chatters, which is
+    the pathology the two thresholds and the dwell exist to fix.
     """
 
-    name = "hysteresis"
-
     def __init__(self, hot_c, cool_c, throttle_mhz, dwell_us):
-        if not cool_c < hot_c:
-            raise ValueError("cool_c must lie below hot_c")
+        if cool_c > hot_c:
+            raise ValueError("cool_c must not lie above hot_c")
         self.hot_c = hot_c
         self.cool_c = cool_c
         self.cool_target_c = cool_c
@@ -123,9 +94,11 @@ def build_governor(config):
     Returns ``None`` for governor ``"none"`` — no policy, no observers.
     """
     if config.dvfs_governor == "threshold-throttle":
-        return ThresholdThrottleGovernor(
+        return HysteresisGovernor(
             hot_c=config.governor_hot_c,
+            cool_c=config.governor_hot_c,
             throttle_mhz=config.governor_throttle_mhz,
+            dwell_us=0,
         )
     if config.dvfs_governor == "hysteresis":
         return HysteresisGovernor(

@@ -8,19 +8,26 @@ drawn from the currently-alive candidates using a dedicated RNG stream so
 fault patterns are reproducible per seed and independent of the mapping
 stream.
 
-Beyond the paper's single burst, the injector is an *interpreter* for
-declarative :class:`~repro.platform.scenario.FaultScenario` compositions:
-link failures, transient/intermittent outages (fail, then recover, then
-optionally fail again), timed waves, spatial victim patterns
-(row/column/region/neighbourhood), degraded links (slower ``flit_time``
-instead of an outage), packet-corrupting links (payload delivered but
-useless), controller attach-point failures (monitors/knobs go dark) and
-hazard-rate storms (occurrence times drawn from a Poisson process on a
-dedicated RNG stream).  The legacy :meth:`schedule` surface maps onto a
-one-event uniform burst and draws the exact RNG sequence the historic
-implementation drew, so existing sweeps stay bit-identical; scenarios
-that avoid the v2 kinds never touch the storm stream, so their draws are
-untouched too.
+The injector is an *interpreter* for declarative
+:class:`~repro.platform.scenario.FaultScenario` compositions, and
+:meth:`FaultInjector.apply` is the only way a fault enters the platform:
+the paper's burst is the one-event scenario
+:meth:`~repro.platform.scenario.FaultScenario.burst`.  Beyond it the
+scenarios compose link failures, transient/intermittent outages (fail,
+then recover, then optionally fail again), timed waves, spatial victim
+patterns (row/column/region/neighbourhood), degraded links (slower
+``flit_time`` instead of an outage), packet-corrupting links (payload
+delivered but useless), controller attach-point failures (monitors/knobs
+go dark), deadlock pressure, thermal storms and hazard-rate storms
+(occurrence times drawn from a Poisson process on a dedicated RNG
+stream, which scenarios without a storm never touch).
+
+Overlapping faults are arbitrated by one claim table.  Each occurrence
+claims its victims until its end time (``None`` for a permanent fault),
+and a victim stays faulted while any claim on it is live.  The two
+magnitude kinds run at their worst live claim — a degraded edge at its
+largest factor, a pressured router at its smallest wait limit — and only
+the last claim's lapse undoes the fault.
 """
 
 from repro.noc.topology import normalize_edge
@@ -34,20 +41,20 @@ from repro.platform.scenario import (
     NODE_KINDS,
     THERMAL_STORM,
     UNIFORM,
-    FaultEvent,
 )
 
-#: RNG stream name shared by every victim draw (legacy-compatible).
+#: RNG stream shared by every victim draw.  Its name seeds the draws, so
+#: renaming it would move every faulted cell.
 FAULT_STREAM = "fault-injection"
 
 #: RNG stream for hazard-rate storm occurrence times.  Separate from the
 #: victim stream so storms cannot perturb the draws of fixed-schedule
-#: events (and legacy scenarios never create it at all).
+#: events (and scenarios without a storm never create it at all).
 HAZARD_STREAM = "fault-hazard"
 
 
 class FaultInjector:
-    """Schedules and executes fault campaigns against a platform.
+    """Interprets fault scenarios against a platform.
 
     Parameters
     ----------
@@ -57,10 +64,6 @@ class FaultInjector:
 
     def __init__(self, platform):
         self.platform = platform
-        #: Legacy bookkeeping: ``(at_us, count, pinned_victims)`` per
-        #: :meth:`schedule` call (pinned victims recorded for
-        #: introspection; ``None`` for runtime draws).
-        self.scheduled = []
         #: Node ids actually killed, in injection order (repeats included).
         self.victims = []
         #: ``(src, dst)`` link endpoints actually failed, in order.
@@ -79,60 +82,11 @@ class FaultInjector:
         self.recovered = []
         #: Scenarios applied through :meth:`apply`.
         self.scenarios = []
-        #: Victims a *permanent* event has claimed: a pending transient
-        #: recovery must not revive them (permanent declarations win).
-        self._permanent = set()
-        #: Latest declared outage end per ``(kind, victim)``: overlapping
-        #: transients extend each other instead of the earliest recovery
-        #: cutting every later outage short.
-        self._outage_until = {}
-        #: Active degrade claims per edge: ``[(until, seq, factor), ...]``
-        #: (``until=None`` is permanent).  Unlike the binary kinds a
-        #: degrade claim carries a magnitude, so presence-only
-        #: bookkeeping is not enough — the edge must run at the worst
-        #: *active* factor, and a claim's expiry re-evaluates what
-        #: remains instead of blindly restoring.
-        self._degrade_claims = {}
-        self._degrade_seq = 0
-        #: Active deadlock-pressure claims per node:
-        #: ``[(until, seq, wait_limit_us), ...]`` (``until=None`` is
-        #: permanent).  Same arbitration shape as the degrade claims —
-        #: a pressure claim carries a magnitude, and the node must run
-        #: at the *tightest* active limit.
-        self._pressure_claims = {}
-        self._pressure_seq = 0
-
-    # -- legacy surface ----------------------------------------------------
-
-    def schedule(self, count, at_us, victims=None):
-        """Arrange for ``count`` random nodes to fail at ``at_us``.
-
-        ``victims`` may pin an explicit node list (tests); when both are
-        given they must agree — a pinned list silently overriding the
-        count hid real setup mistakes.  Otherwise victims are drawn at
-        injection time from nodes still alive, which mirrors the paper's
-        procedure (faults hit the *running* system).  Control-priority
-        scheduling makes all failures land before any same-tick
-        application event.
-        """
-        if count < 0:
-            raise ValueError("fault count must be >= 0")
-        if victims is not None:
-            victims = tuple(victims)
-            if count != len(victims):
-                raise ValueError(
-                    "count={} disagrees with {} pinned victims".format(
-                        count, len(victims)
-                    )
-                )
-        if count == 0:
-            return
-        self.scheduled.append((at_us, count, victims))
-        self._schedule_event(
-            FaultEvent(at_us=at_us, count=count, victims=victims)
-        )
-
-    # -- scenario surface --------------------------------------------------
+        #: Live claims per ``(kind, victim)``: ``[(until, magnitude)]``.
+        #: ``until`` is ``None`` for a permanent claim; ``magnitude`` is
+        #: a degrade's factor or a pressure's wait limit (``None`` for the
+        #: binary kinds).  A victim with no claim left has no entry.
+        self._claims = {}
 
     def apply(self, scenario):
         """Schedule every event of a declarative scenario.
@@ -199,24 +153,29 @@ class FaultInjector:
     # -- interpretation ----------------------------------------------------
 
     def _execute(self, event):
-        """Inject one occurrence of ``event`` at the current time."""
+        """Inject one occurrence of ``event`` and claim its victims.
+
+        A kind's actuator skips a victim that is already faulted, yet
+        the claim covers every declared victim: a node already down from
+        a transient outage stays down until this claim lapses too.  A
+        degrade alone claims only what it actuates, because a dead edge
+        has no timing left to degrade.
+        """
         kind = event.kind
+        magnitude = None
+        if kind == THERMAL_STORM:
+            # Heat impulses decay on their own: nothing to claim.
+            self._inject_heat(event, self._node_victims(event))
+            return
         if kind == NODE:
             victims = self._node_victims(event)
             self._inject_nodes(victims)
-        elif kind == THERMAL_STORM:
-            # Heat impulses decay on their own (no duration, nothing to
-            # recover), so they bypass the outage bookkeeping below.
-            self._inject_heat(event, self._node_victims(event))
-            return
         elif kind == DEADLOCK_PRESSURE:
-            # Pressure claims carry a magnitude, so like degrades they
-            # use per-node claim arbitration instead of the
-            # presence-only permanent/outage bookkeeping below.
-            self._apply_pressure(event, self._node_victims(event))
-            return
+            victims = self._node_victims(event)
+            self.pressure_victims.extend(victims)
+            magnitude = event.wait_limit_us
         elif kind == CONTROLLER:
-            victims = list(self._controller_victims_for(event))
+            victims = self._controller_victims_for(event)
             self._sever_attaches(victims)
         else:
             victims = [
@@ -225,133 +184,135 @@ class FaultInjector:
             ]
             if kind == LINK:
                 self._inject_links(victims)
-            elif kind == LINK_DEGRADE:
-                # Degrade claims carry a magnitude, so they bypass the
-                # presence-only permanent/outage bookkeeping below in
-                # favour of per-edge claim arbitration.
-                self._apply_degrade(event, victims)
-                return
-            else:
+            elif kind == CORRUPT:
                 self._corrupt_links(victims)
-        if event.duration_us is None:
-            # A permanent claim sticks to every declared victim — even
-            # one currently down from a transient outage, whose pending
-            # recovery must no longer revive it.
-            self._permanent.update(
-                (event.kind, victim) for victim in victims
-            )
-        elif victims:
-            # The outage claims every declared victim, including one
-            # already down from an earlier transient — the later end
-            # time wins, so overlapping outages extend instead of the
-            # earliest recovery reviving everything.
-            sim = self.platform.sim
-            until = sim.now + event.duration_us
-            for victim in victims:
-                key = (event.kind, victim)
-                if until > self._outage_until.get(key, 0):
-                    self._outage_until[key] = until
-            sim.schedule_at(
-                until,
-                lambda k=event.kind, v=victims: self._recover(k, v),
-                priority=sim.PRIORITY_CONTROL,
-            )
-
-    def _inject_nodes(self, victims):
-        controller = self.platform.controller
-        pes = self.platform.pes
-        killed = []
-        for node_id in victims:
-            if pes[node_id].halted:
-                continue  # double injection of an already-dead node
-            controller.inject_fault(node_id)
-            self.victims.append(node_id)
-            killed.append(node_id)
-        return killed
-
-    def _inject_links(self, edges):
-        network = self.platform.network
-        failed = []
-        for src, dst in edges:
-            if network.link_failed(src, dst):
-                continue
-            network.fail_link(src, dst)
-            self.link_victims.append((src, dst))
-            failed.append((src, dst))
-        return failed
-
-    def _apply_degrade(self, event, edges):
-        """Register one occurrence's degrade claims and apply them.
-
-        Overlapping degradations do not stack multiplicatively: the
-        edge runs at the *worst* (largest-factor) currently-active
-        claim.  Each claim is kept with its expiry; when a transient
-        claim lapses the survivors are re-evaluated — the edge drops to
-        the next-worst active factor, or back to nominal timing once no
-        claim remains.
-        """
+            else:
+                network = self.platform.network
+                victims = [
+                    edge for edge in victims
+                    if not network.link_failed(*edge)
+                ]
+                self.degraded_victims.extend(victims)
+                magnitude = event.factor
         sim = self.platform.sim
-        network = self.platform.network
         until = (
             None if event.duration_us is None
             else sim.now + event.duration_us
         )
-        claimed = []
-        for edge in edges:
-            if network.link_failed(*edge):
-                continue  # a dead edge has no timing left to degrade
-            self._degrade_claims.setdefault(edge, []).append(
-                (until, self._degrade_seq, event.factor)
+        for victim in victims:
+            self._claims.setdefault((kind, victim), []).append(
+                (until, magnitude)
             )
-            self._degrade_seq += 1
-            self.degraded_victims.append(edge)
-            self._apply_governing_degrade(edge)
-            claimed.append(edge)
-        if until is not None and claimed:
+            self._govern(kind, victim)
+        if until is not None and victims:
             sim.schedule_at(
                 until,
-                lambda es=claimed: self._expire_degrades(es),
+                lambda: self._expire(kind, victims),
                 priority=sim.PRIORITY_CONTROL,
             )
-        return claimed
 
-    def _apply_governing_degrade(self, edge):
-        """Make the edge run at its worst active claim's factor."""
+    def _govern(self, kind, victim):
+        """Run a magnitude victim at its worst live claim.
+
+        Overlapping degrades and pressures do not stack: an edge runs at
+        its largest live factor, a router at its smallest live wait
+        limit.  A binary kind has nothing to arbitrate.
+        """
+        claims = self._claims[kind, victim]
         network = self.platform.network
-        claims = self._degrade_claims.get(edge)
-        if not claims:
-            if network.link_degraded(*edge):
-                network.restore_link(*edge)
-            return
-        # Worst factor governs; newest declaration breaks exact ties.
-        _until, _seq, factor = max(
-            claims, key=lambda claim: (claim[2], claim[1])
-        )
-        if network.degraded_links.get(edge) != factor:
-            network.degrade_link(edge[0], edge[1], factor)
+        if kind == LINK_DEGRADE:
+            factor = max(claim[1] for claim in claims)
+            if network.degraded_links.get(victim) != factor:
+                network.degrade_link(*victim, factor)
+        elif kind == DEADLOCK_PRESSURE:
+            network.set_deadlock_pressure(
+                victim, min(claim[1] for claim in claims)
+            )
 
-    def _expire_degrades(self, edges):
-        """Drop lapsed degrade claims and re-arbitrate each edge."""
+    def _expire(self, kind, victims):
+        """Drop one occurrence's lapsed claims and re-arbitrate.
+
+        A victim that keeps a live claim stays faulted; a magnitude
+        victim re-runs at its worst remaining claim, but a binary one is
+        not re-actuated (a node the watchdog revived meanwhile stays
+        up).  A victim with no claim left is restored.
+        """
         now = self.platform.sim.now
+        for victim in victims:
+            key = (kind, victim)
+            claims = self._claims.get(key)
+            if claims is None:
+                continue  # a same-time expiry already dropped them
+            live = [claim for claim in claims
+                    if claim[0] is None or claim[0] > now]
+            if live:
+                self._claims[key] = live
+                self._govern(kind, victim)
+            else:
+                del self._claims[key]
+                if self._restore(kind, victim):
+                    self.recovered.append((now, kind, victim))
+
+    def _restore(self, kind, victim):
+        """Undo a victim's fault; False when it has none left to undo."""
+        controller = self.platform.controller
+        network = self.platform.network
+        if kind == NODE:
+            if self.platform.pes[victim].halted:
+                controller.recover_node(victim)
+                return True
+        elif kind == CONTROLLER:
+            if victim in controller.severed:
+                controller.restore_attach(victim)
+                return True
+        elif kind == DEADLOCK_PRESSURE:
+            if victim in network.deadlock_pressure:
+                network.clear_deadlock_pressure(victim)
+                return True
+        elif kind == LINK:
+            if network.link_failed(*victim):
+                network.recover_link(*victim)
+                return True
+        elif kind == LINK_DEGRADE:
+            if network.link_degraded(*victim):
+                network.restore_link(*victim)
+                return True
+        elif network.link_corrupting(*victim):
+            network.clean_link(*victim)
+            return True
+        return False
+
+    # -- actuators ---------------------------------------------------------
+
+    def _inject_nodes(self, victims):
+        controller = self.platform.controller
+        pes = self.platform.pes
+        for node_id in victims:
+            if not pes[node_id].halted:
+                controller.inject_fault(node_id)
+                self.victims.append(node_id)
+
+    def _inject_links(self, edges):
         network = self.platform.network
         for edge in edges:
-            claims = self._degrade_claims.get(edge)
-            if not claims:
-                continue
-            live = [
-                claim for claim in claims
-                if claim[0] is None or claim[0] > now
-            ]
-            if len(live) == len(claims):
-                continue  # nothing lapsed yet (e.g. re-claimed later)
-            if live:
-                self._degrade_claims[edge] = live
-                self._apply_governing_degrade(edge)
-            else:
-                del self._degrade_claims[edge]
-                if network.link_degraded(*edge):
-                    network.restore_link(*edge)
-                    self.recovered.append((now, LINK_DEGRADE, edge))
+            if not network.link_failed(*edge):
+                network.fail_link(*edge)
+                self.link_victims.append(edge)
+
+    def _corrupt_links(self, edges):
+        network = self.platform.network
+        for edge in edges:
+            if not (network.link_failed(*edge)
+                    or network.link_corrupting(*edge)):
+                network.corrupt_link(*edge)
+                self.corrupted_victims.append(edge)
+
+    def _sever_attaches(self, indices):
+        controller = self.platform.controller
+        for index in indices:
+            if index not in controller.severed:
+                controller.sever_attach(index)
+                self.controller_victims.append(index)
 
     def _inject_heat(self, event, victims):
         """Push one thermal-storm occurrence's heat into its victims.
@@ -362,146 +323,18 @@ class FaultInjector:
         governors — so a storm on a governed platform triggers the
         closed loop immediately.
         """
-        dynamics = getattr(self.platform, "dynamics", None)
-        if dynamics is None:
-            return []
-        heated = dynamics.inject_heat(victims, event.heat_c)
-        self.thermal_victims.extend(heated)
-        return heated
-
-    def _apply_pressure(self, event, victims):
-        """Register one occurrence's deadlock-pressure claims.
-
-        Overlapping pressures do not stack: the node runs at the
-        *tightest* (smallest ``wait_limit_us``) currently-active claim.
-        Each claim is kept with its expiry; when a transient claim
-        lapses the survivors are re-evaluated — the node relaxes to the
-        next-tightest active limit, or back to the config-wide
-        ``deadlock_wait_limit_us`` once no claim remains.
-        """
-        sim = self.platform.sim
-        until = (
-            None if event.duration_us is None
-            else sim.now + event.duration_us
+        self.thermal_victims.extend(
+            self.platform.dynamics.inject_heat(victims, event.heat_c)
         )
-        claimed = []
-        for node_id in victims:
-            self._pressure_claims.setdefault(node_id, []).append(
-                (until, self._pressure_seq, event.wait_limit_us)
-            )
-            self._pressure_seq += 1
-            self.pressure_victims.append(node_id)
-            self._apply_governing_pressure(node_id)
-            claimed.append(node_id)
-        if until is not None and claimed:
-            sim.schedule_at(
-                until,
-                lambda ns=claimed: self._expire_pressures(ns),
-                priority=sim.PRIORITY_CONTROL,
-            )
-        return claimed
-
-    def _apply_governing_pressure(self, node_id):
-        """Make the node run at its tightest active claim's limit."""
-        network = self.platform.network
-        claims = self._pressure_claims.get(node_id)
-        if not claims:
-            network.clear_deadlock_pressure(node_id)
-            return
-        # Tightest limit governs; newest declaration breaks exact ties.
-        _until, _seq, limit = min(
-            claims, key=lambda claim: (claim[2], -claim[1])
-        )
-        network.set_deadlock_pressure(node_id, limit)
-
-    def _expire_pressures(self, nodes):
-        """Drop lapsed pressure claims and re-arbitrate each node."""
-        now = self.platform.sim.now
-        for node_id in nodes:
-            claims = self._pressure_claims.get(node_id)
-            if not claims:
-                continue
-            live = [
-                claim for claim in claims
-                if claim[0] is None or claim[0] > now
-            ]
-            if len(live) == len(claims):
-                continue  # nothing lapsed yet (e.g. re-claimed later)
-            if live:
-                self._pressure_claims[node_id] = live
-                self._apply_governing_pressure(node_id)
-            else:
-                del self._pressure_claims[node_id]
-                self.platform.network.clear_deadlock_pressure(node_id)
-                self.recovered.append((now, DEADLOCK_PRESSURE, node_id))
-
-    def _corrupt_links(self, edges):
-        network = self.platform.network
-        corrupted = []
-        for src, dst in edges:
-            if network.link_failed(src, dst) or network.link_corrupting(
-                src, dst
-            ):
-                continue
-            network.corrupt_link(src, dst)
-            self.corrupted_victims.append((src, dst))
-            corrupted.append((src, dst))
-        return corrupted
-
-    def _sever_attaches(self, indices):
-        controller = self.platform.controller
-        severed = []
-        for index in indices:
-            if index in controller.severed:
-                continue  # double injection of an already-severed attach
-            controller.sever_attach(index)
-            self.controller_victims.append(index)
-            severed.append(index)
-        return severed
-
-    def _recover(self, kind, victims):
-        """Undo one occurrence's outage (the transient-fault back edge).
-
-        A victim stays down when a permanent event claimed it since the
-        outage began, or when a later-ending transient outage still
-        covers it — only the final claim's recovery revives.
-        """
-        now = self.platform.sim.now
-        controller = self.platform.controller
-        network = self.platform.network
-        pes = self.platform.pes
-        for victim in victims:
-            key = (kind, victim)
-            if key in self._permanent:
-                continue
-            if self._outage_until.get(key, 0) > now:
-                continue  # a longer overlapping outage still holds it
-            if kind == NODE:
-                if pes[victim].halted:
-                    controller.recover_node(victim)
-                    self.recovered.append((now, NODE, victim))
-            elif kind == LINK:
-                if network.link_failed(*victim):
-                    network.recover_link(*victim)
-                    self.recovered.append((now, LINK, victim))
-            elif kind == CORRUPT:
-                if network.link_corrupting(*victim):
-                    network.clean_link(*victim)
-                    self.recovered.append((now, CORRUPT, victim))
-            elif kind == CONTROLLER:
-                if victim in controller.severed:
-                    controller.restore_attach(victim)
-                    self.recovered.append((now, CONTROLLER, victim))
 
     # -- victim selection --------------------------------------------------
 
     def _node_victims(self, event):
         """Node victims for one occurrence, drawn at injection time.
 
-        The uniform draw replicates the historic injector exactly —
-        same stream, ``min``-capped count, ``rng.sample`` over the
-        alive list — which is what keeps legacy ``fault_counts``
-        campaigns bit-identical under the scenario engine.
+        The uniform draw is ``rng.sample`` over the alive list of a
+        ``min``-capped count, on :data:`FAULT_STREAM`: the paper burst's
+        draw, which every stored faulted cell was made with.
         """
         if event.victims is not None:
             return event.victims
@@ -544,8 +377,8 @@ class FaultInjector:
         (failed edges for ``link``, degraded for ``link_degrade``,
         corrupting for ``corrupt``) plus — for the partial kinds — the
         outright-failed edges, which have no traffic left to damage.
-        For ``link`` events the candidate set and draw are unchanged
-        from the v1 engine, preserving its RNG sequence exactly.
+        Edges are drawn from the id-sorted candidate list, so the draw
+        does not depend on set iteration order.
         """
         if event.victims is not None:
             return [tuple(v) for v in event.victims]
@@ -582,10 +415,9 @@ class FaultInjector:
 
     def __repr__(self):
         return (
-            "FaultInjector(scheduled={}, scenarios={}, injected={}, "
+            "FaultInjector(scenarios={}, injected={}, "
             "links={}, degraded={}, corrupted={}, severed={}, "
             "heated={}, pressured={}, recovered={})".format(
-                self.scheduled,
                 len(self.scenarios),
                 len(self.victims),
                 len(self.link_victims),

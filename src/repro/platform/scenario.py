@@ -480,16 +480,22 @@ class FaultScenario:
             return cls.from_dict(json.load(handle))
 
     @classmethod
-    def burst(cls, count, at_us, name=None):
-        """The legacy shape: ``count`` uniform permanent kills at one
-        instant.  Interpreting this scenario draws from the same RNG
-        stream in the same order as the historic ``FaultInjector``
-        fast path, so results are bit-identical — including
-        ``count=0``, which is the legacy no-op (an empty scenario, so
-        it sets no settling/recovery boundary).
+    def burst(cls, count, at_us, name=None, victims=None):
+        """The paper's fault shape: ``count`` permanent node kills at one
+        instant (§IV-B).
+
+        Victims are drawn uniformly from the nodes alive at ``at_us``,
+        unless ``victims`` pins them (the two must agree).
+        :meth:`~repro.platform.centurion.CenturionPlatform.inject_faults`
+        applies this scenario for every paper cell.  ``count=0`` with
+        no victims is an empty scenario, so it sets no
+        settling/recovery boundary.
         """
+        if count < 0:
+            raise ValueError("fault count must be >= 0")
         events = (
-            (FaultEvent(at_us=at_us, count=count),) if count else ()
+            (FaultEvent(at_us=at_us, count=count, victims=victims),)
+            if count or victims else ()
         )
         return cls(
             name=name or "burst-{}x@{}".format(count, at_us),

@@ -1,4 +1,4 @@
-"""Distributed worker shards: partition, concurrency, reconciliation.
+"""Distributed worker shards: partition, concurrency, folding by gc.
 
 Two workers draining disjoint shards of one campaign — each opened
 before the other wrote anything, exactly like concurrent processes on a
@@ -11,9 +11,10 @@ import os
 import pytest
 
 from repro.campaign.executor import run_campaign, shard_of
+from repro.campaign.gc import gc_root
 from repro.campaign.paper import artifact
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import RESULTS_FILE, ResultStore
+from repro.campaign.store import RESULTS_FILE, ResultStore, worker_files
 from repro.platform.config import PlatformConfig
 
 _CONFIG = PlatformConfig.small(horizon_us=120_000, fault_time_us=60_000)
@@ -65,12 +66,13 @@ def test_two_workers_merge_bit_identical_to_sequential(spec, tmp_path):
     assert report0.pending_elsewhere == report1.executed
     assert report1.pending_elsewhere == report0.executed
 
-    merged = ResultStore(shard_dir)
-    assert merged.reconcile() == spec.size()
+    report = gc_root(str(tmp_path), dirs=[shard_dir], apply=True)
+    assert report.summaries[0].worker_files == 2
+    assert worker_files(shard_dir) == []
     # Order-insensitive byte identity with the sequential store.
     assert sorted(_lines(shard_dir)) == sorted(_lines(sequential_dir))
 
-    # A merge pass over the reconciled store recomputes nothing and
+    # A merge pass over the folded store recomputes nothing and
     # reassembles the full grid bit-identically.
     final = run_campaign(spec, store=shard_dir, processes=0)
     assert final.executed == 0

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.campaign.gc import gc_root
 from repro.campaign.spec import RunDescriptor
 from repro.campaign.store import ResultStore, decode_result, encode_result
 from repro.experiments.runner import run_single
@@ -100,25 +101,15 @@ class TestWorkerStreams:
         assert reader.has_result(descriptor)
         assert reader.load_result(descriptor).as_row() == result.as_row()
 
-    def test_reconcile_folds_streams_byte_identically(self, tmp_path,
-                                                      descriptor, result):
+    def test_gc_folds_streams_byte_identically(self, tmp_path,
+                                               descriptor, result):
         with ResultStore(str(tmp_path), worker=0) as store:
             store.save_result(descriptor, result)
         worker_line = (tmp_path / "results.worker-0.jsonl").read_bytes()
-        merged = ResultStore(str(tmp_path))
-        assert merged.reconcile() == 1
+        gc_root(str(tmp_path), dirs=[str(tmp_path)], apply=True)
         assert not (tmp_path / "results.worker-0.jsonl").exists()
         assert (tmp_path / "results.jsonl").read_bytes() == worker_line
         assert ResultStore(str(tmp_path)).has_result(descriptor)
-
-    def test_reconcile_without_streams_is_a_noop(self, tmp_path,
-                                                 descriptor, result):
-        with ResultStore(str(tmp_path)) as store:
-            store.save_result(descriptor, result)
-        before = (tmp_path / "results.jsonl").read_bytes()
-        store = ResultStore(str(tmp_path))
-        assert store.reconcile() == 0
-        assert (tmp_path / "results.jsonl").read_bytes() == before
 
     def test_save_record_requires_key(self, tmp_path):
         """The writer refuses every line the readers treat as garbage."""

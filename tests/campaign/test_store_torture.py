@@ -146,26 +146,26 @@ def test_truncation_never_invents_records(keys, data):
             assert store.get(key) == make_record(key, keys.index(key))
 
 
-@given(keys=cut_keys, data=st.data(), via_reconcile=st.booleans())
+@given(keys=cut_keys, data=st.data(), via_gc=st.booleans())
 @SETTINGS
-def test_append_after_torn_tail_keeps_every_record(keys, data,
-                                                   via_reconcile):
+def test_append_after_torn_tail_keeps_every_record(keys, data, via_gc):
     """Cut the main stream anywhere, reopen, then append a record —
-    directly or by reconciling a worker stream — and reopen again:
-    every fully written record and the new one load; a torn tail never
-    swallows the next append."""
+    directly or by folding a worker stream with ``gc --apply`` — and
+    reopen again: every fully written record and the new one load; a
+    torn tail never swallows the next append."""
     fresh = make_record("fresh", 99)
     with tempfile.TemporaryDirectory() as directory:
         fully_written, started = write_cut_stream(
             os.path.join(directory, "results.jsonl"), keys, data
         )
         store = ResultStore(directory)
-        if via_reconcile:
+        if via_gc:
             write_lines(
                 os.path.join(directory, worker_results_file(1)),
                 [encode_line(fresh) + "\n"],
             )
-            assert store.reconcile() == 1
+            report = gc_root(directory, dirs=[directory], apply=True)
+            assert report.summaries[0].worker_files == 1
         else:
             store.save_record(fresh)
             store.close()
@@ -238,10 +238,10 @@ def test_interleaved_garbage_and_torn_tail_are_ignored(parts, torn_tail):
     ),
 )
 @SETTINGS
-def test_worker_streams_merge_and_reconcile_losslessly(shards):
+def test_worker_streams_merge_and_fold_losslessly(shards):
     """Records spread over main + worker streams read as one store, and
-    reconcile folds them into results.jsonl without changing a byte of
-    any surviving record line."""
+    ``gc --apply`` folds them into results.jsonl without changing a byte
+    of any surviving record line."""
     with tempfile.TemporaryDirectory() as directory:
         files = {}
         expected = {}
@@ -262,10 +262,9 @@ def test_worker_streams_merge_and_reconcile_losslessly(shards):
         store = ResultStore(directory)
         assert {k: r["total_switches"] for k, r in
                 ((k, store.get(k)) for k in store.keys())} == expected
-        folded = store.reconcile()
-        assert folded == sum(
-            len(lines) for name, lines in files.items()
-            if name != "results.jsonl"
+        report = gc_root(directory, dirs=[directory], apply=True)
+        assert report.summaries[0].worker_files == sum(
+            1 for name in files if name != "results.jsonl"
         )
         assert not [
             name for name in os.listdir(directory)
@@ -279,20 +278,30 @@ def test_worker_streams_merge_and_reconcile_losslessly(shards):
         )
         assert {k: reopened.get(k)["total_switches"]
                 for k in reopened.keys()} == expected
+        # One line per key: the very line last written for it.
+        main = os.path.join(directory, "results.jsonl")
+        if expected:
+            with open(main) as handle:
+                assert sorted(handle) == sorted(
+                    encode_line(make_record(k, v)) + "\n"
+                    for k, v in expected.items()
+                )
 
 
-def test_reconcile_splits_lines_like_every_reader():
+def test_gc_splits_lines_like_every_reader():
     """A bare carriage return is JSON whitespace, not a line break: the
-    store reads such a worker-stream line as a record, so reconcile must
-    fold it (and every line after it) verbatim instead of dropping the
+    store reads such a worker-stream line as a record, so ``gc --apply``
+    must fold it (and every line after it) instead of dropping the
     stream."""
     lines = ['{"key":"a",\r"row":{}}\n', encode_line({"key": "b"}) + "\n"]
     with tempfile.TemporaryDirectory() as directory:
         write_lines(os.path.join(directory, worker_results_file(1)), lines)
         assert set(ResultStore(directory).keys()) == {"a", "b"}
-        assert ResultStore(directory).reconcile() == 2
+        gc_root(directory, dirs=[directory], apply=True)
         with open(os.path.join(directory, "results.jsonl"), newline="") as f:
-            assert f.read() == "".join(lines)
+            assert f.read() == (
+                encode_line({"key": "a", "row": {}}) + "\n" + lines[1]
+            )
         assert set(ResultStore(directory).keys()) == {"a", "b"}
 
 

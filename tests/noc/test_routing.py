@@ -55,11 +55,10 @@ class TestProviderDirectory:
         assert directory.ranked_providers(5, 1) == [0]
         assert directory.ranked_providers(5, 2) == []
 
-    def test_mark_failed_removes_from_providers(self, directory):
+    def test_clearing_a_task_removes_from_providers(self, directory):
         directory.set_task(5, 2)
-        directory.mark_failed(5)
+        directory.set_task(5, None)
         assert directory.providers(2) == []
-        assert directory.is_failed(5)
         assert directory.task_of(5) is None
 
     def test_census(self, directory):
@@ -107,7 +106,7 @@ class TestProviderDirectory:
         directory.set_task(far, 2)
         origin = mesh.node_id(5, 5)
         assert directory.nearest_provider(origin, 2) == near
-        directory.mark_failed(near)
+        directory.set_task(near, None)  # what Network.fail_node does
         assert directory.nearest_provider(origin, 2) == far
 
 
@@ -297,12 +296,11 @@ def test_rankings_match_brute_force(steps):
             directory.set_task(node, task)
             tasks[node] = task
         elif op == "fail":
-            directory.mark_failed(node)
+            directory.set_task(node, None)  # what Network.fail_node does
             failed.add(node)
             tasks[node] = None
         else:
-            directory.mark_recovered(node)
-            failed.discard(node)
+            failed.discard(node)  # Network.recover_node tells no directory
         for task_id in (1, 2, 3):
             live = [n for n, t in tasks.items() if t == task_id]
             for origin in range(mesh.num_nodes):

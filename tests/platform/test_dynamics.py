@@ -11,11 +11,7 @@ import pytest
 from repro.noc.packet import Packet, PacketStatus
 from repro.platform.centurion import CenturionPlatform
 from repro.platform.config import PlatformConfig
-from repro.platform.dynamics import (
-    HysteresisGovernor,
-    ThresholdThrottleGovernor,
-    build_governor,
-)
+from repro.platform.dynamics import HysteresisGovernor, build_governor
 
 SMALL = dict(width=4, height=4, horizon_us=200_000, fault_time_us=100_000)
 
@@ -32,23 +28,35 @@ def _platform(seed=7, model="none", **overrides):
 
 
 class TestThresholdThrottleGovernor:
+    """``"threshold-throttle"``: one threshold, no dwell."""
+
+    def _gov(self):
+        return build_governor(PlatformConfig(
+            dvfs_governor="threshold-throttle", governor_hot_c=70.0,
+            governor_throttle_mhz=50, **SMALL
+        ))
+
     def test_throttles_above_hot(self):
-        gov = ThresholdThrottleGovernor(hot_c=70.0, throttle_mhz=50)
+        gov = self._gov()
         assert gov.decide(0, 70.5, throttled=False) == "throttle"
 
     def test_holds_at_or_below_hot(self):
-        gov = ThresholdThrottleGovernor(hot_c=70.0, throttle_mhz=50)
+        gov = self._gov()
         assert gov.decide(0, 70.0, throttled=False) is None
         assert gov.decide(0, 35.0, throttled=False) is None
 
     def test_restores_at_hot(self):
-        gov = ThresholdThrottleGovernor(hot_c=70.0, throttle_mhz=50)
+        gov = self._gov()
         assert gov.decide(0, 70.0, throttled=True) == "restore"
         assert gov.decide(0, 71.0, throttled=True) is None
 
     def test_no_dwell(self):
-        gov = ThresholdThrottleGovernor(hot_c=70.0, throttle_mhz=50)
+        gov = self._gov()
         assert gov.earliest_change_us(123) == 123
+        # Back-to-back transitions at one instant are allowed.
+        assert gov.decide(200, 75.0, throttled=False) == "throttle"
+        assert gov.decide(200, 70.0, throttled=True) == "restore"
+        assert gov.earliest_change_us(200) == 200
 
 
 class TestHysteresisGovernor:
@@ -77,10 +85,19 @@ class TestHysteresisGovernor:
         assert gov.earliest_change_us(200) == 1_100
         assert gov.earliest_change_us(5_000) == 5_000
 
-    def test_cool_must_lie_below_hot(self):
+    def test_cool_must_not_lie_above_hot(self):
         with pytest.raises(ValueError):
             HysteresisGovernor(
-                hot_c=70.0, cool_c=70.0, throttle_mhz=50, dwell_us=0
+                hot_c=70.0, cool_c=70.5, throttle_mhz=50, dwell_us=0
+            )
+
+    def test_config_keeps_cool_below_hot(self):
+        # The governor accepts cool == hot (the threshold policy), but a
+        # config may not ask for it: its cool threshold sits below hot.
+        with pytest.raises(ValueError):
+            PlatformConfig(
+                dvfs_governor="hysteresis", governor_hot_c=70.0,
+                governor_cool_c=70.0, **SMALL
             )
 
 
@@ -90,12 +107,14 @@ def test_build_governor_factory():
     threshold = build_governor(
         PlatformConfig(dvfs_governor="threshold-throttle", **SMALL)
     )
-    assert isinstance(threshold, ThresholdThrottleGovernor)
+    assert (threshold.cool_c, threshold.dwell_us) == (threshold.hot_c, 0)
+    assert threshold.cool_target_c == threshold.hot_c
     hysteresis = build_governor(
         PlatformConfig(dvfs_governor="hysteresis", **SMALL)
     )
     assert isinstance(hysteresis, HysteresisGovernor)
     assert hysteresis.cool_target_c == hysteresis.cool_c
+    assert hysteresis.cool_c < hysteresis.hot_c
 
 
 # -- platform wiring ---------------------------------------------------------

@@ -51,7 +51,7 @@ class TestTransientFaults:
         assert not pe.halted
         assert pe.task_id is None
         assert platform.network.directory.task_of(5) is None
-        assert not platform.network.directory.is_failed(5)
+        assert 5 not in platform.network.failed_nodes
         del task_before
 
     def test_recovered_node_routes_traffic_again(self):
@@ -157,6 +157,34 @@ class TestTransientFaults:
         platform.sim.run_until(40_000)
         assert not platform.pes[5].halted
         assert platform.faults.recovered == [(40_000, "node", 5)]
+
+    def test_partial_lapse_leaves_a_watchdog_revival_up(self):
+        platform = make_platform(
+            seed=5, horizon_us=200_000, fault_time_us=100_000,
+            watchdog_recovery=True, watchdog_timeout_us=20_000,
+        )
+        platform.inject_scenario(
+            FaultScenario(
+                name="revived",
+                events=(
+                    FaultEvent(
+                        at_us=10_000, victims=(5,), duration_us=60_000
+                    ),
+                    FaultEvent(
+                        at_us=20_000, victims=(5,), duration_us=120_000
+                    ),
+                ),
+            )
+        )
+        platform.sim.run_until(50_000)
+        # The watchdog revived node 5 while both outages still claim it.
+        assert platform.dynamics.autonomous_recoveries == 1
+        assert not platform.pes[5].halted
+        # The first outage's lapse at 70 ms leaves the second claim
+        # live, but it must not kill the node again.
+        platform.sim.run_until(90_000)
+        assert not platform.pes[5].halted
+        assert platform.faults.victims == [5]
 
     def test_intermittent_fault_strikes_repeatedly(self):
         platform = make_platform()
@@ -357,8 +385,8 @@ class TestEdgeCases:
 
     def test_double_injection_of_dead_node_is_noop(self):
         platform = make_platform()
-        platform.faults.schedule(1, at_us=10_000, victims=[5])
-        platform.faults.schedule(1, at_us=20_000, victims=[5])
+        platform.inject_faults(1, at_us=10_000, victims=[5])
+        platform.inject_faults(1, at_us=20_000, victims=[5])
         platform.sim.run_until(30_000)
         assert platform.faults.victims == [5]  # second strike no-ops
         assert len(platform.controller.faults_injected) == 1

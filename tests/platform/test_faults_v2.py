@@ -122,6 +122,24 @@ class TestLinkDegrade:
         assert link.flit_time == 2 * nominal
         assert platform.network.degraded_links == {(a, b): 2}
 
+    def test_degrade_skips_an_edge_that_is_down(self):
+        platform = small_platform()
+        a, b = first_edge(platform)
+        platform.inject_scenario(
+            {"name": "dead-then-slow", "events": [
+                {"at_us": 1_000, "kind": "link", "victims": [[a, b]],
+                 "duration_us": 20_000},
+                {"at_us": 2_000, "kind": "link_degrade",
+                 "victims": [[a, b]], "factor": 4},
+            ]}
+        )
+        platform.run()
+        # A dead edge has no timing to degrade, so the permanent degrade
+        # claims nothing and the edge comes back at nominal timing.
+        assert platform.faults.degraded_victims == []
+        assert not platform.network.link_degraded(a, b)
+        assert platform.network.link(a, b).flit_time == CONFIG.flit_time_us
+
     def test_nested_transients_revert_to_outer_factor_then_restore(self):
         platform = small_platform()
         a, b = first_edge(platform)
