@@ -33,8 +33,8 @@ scope: every tenant's campaigns are sibling directories under it, cell
 keys hash the full simulation payload, and a key computed once — by any
 tenant, via HTTP or via ``campaign --spec``, before or during the
 daemon's life — is never executed again for any other.  Live
-submissions dedup through the server's in-memory done map (cell keys
-route to one hash-sharded worker each, so overlapping tenants race-free
+submissions dedup through the server's in-memory done map (a cell whose
+key is already executing parks behind it, so overlapping tenants
 execute each shared cell exactly once); campaigns computed before the
 daemon started resolve through the root's persistent
 :class:`~repro.campaign.index.StoreIndex`.  Results land as ordinary

@@ -1,10 +1,13 @@
 """Thin typed client for the :mod:`repro.campaign.serve` daemon.
 
-Stdlib-only (``urllib``): :class:`CampaignClient` wraps the daemon's
-HTTP surface in typed calls, decoding status payloads into
+Stdlib-only (``http.client``): :class:`CampaignClient` wraps the
+daemon's HTTP surface in typed calls, decoding status payloads into
 :class:`CampaignStatus` and structured error bodies into
-:class:`ServeError`.  The CLI verbs ``campaign submit/status/wait`` are
-thin shells over this class; scripts can use it directly::
+:class:`ServeError`.  Each thread keeps one connection alive across its
+requests, so a status poll costs a round trip, not a TCP handshake (the
+NDJSON event stream opens its own, through ``urllib``).  The CLI verbs
+``campaign submit/status/wait`` are thin shells over this class;
+scripts can use it directly::
 
     from repro.campaign.client import CampaignClient
 
@@ -16,9 +19,12 @@ thin shells over this class; scripts can use it directly::
 """
 
 import dataclasses
+import http.client
 import json
+import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 #: Default per-request timeout (seconds).  Requests are cheap — the
@@ -85,36 +91,73 @@ class CampaignStatus:
         return data
 
 
+def _serve_error(status, body):
+    """A :class:`ServeError` from a non-2xx reply's raw body."""
+    text = body.decode("utf-8", "replace")
+    try:
+        parsed = json.loads(text)
+    except ValueError:
+        parsed = {"error": {"type": "opaque", "message": text}}
+    return ServeError(status, parsed)
+
+
 class CampaignClient:
-    """Typed HTTP client for one ``campaign serve`` daemon."""
+    """Typed HTTP client for one ``campaign serve`` daemon.
+
+    Safe to share between threads: each thread keeps its own
+    connection.
+    """
 
     def __init__(self, url, timeout=DEFAULT_TIMEOUT):
         self.base = url.rstrip("/")
         self.timeout = timeout
+        parts = urllib.parse.urlsplit(self.base)
+        self._netloc = parts.netloc
+        self._prefix = parts.path
+        self._local = threading.local()
 
     # -- transport -----------------------------------------------------------
 
+    def _connection(self):
+        """This thread's kept connection."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self._netloc, timeout=self.timeout
+            )
+            self._local.connection = connection
+        return connection
+
     def _request(self, method, path, payload=None):
-        data = None
+        body = None
         headers = {"Accept": "application/json"}
         if payload is not None:
-            data = json.dumps(payload, sort_keys=True).encode("utf-8")
+            body = json.dumps(payload, sort_keys=True).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base + path, data=data, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            body = exc.read().decode("utf-8", "replace")
+        connection = self._connection()
+        # A kept connection may have been closed by the daemon while it
+        # sat idle, which shows only on its next use: that request goes
+        # once more on a fresh connection.
+        retry = connection.sock is not None
+        while True:
             try:
-                parsed = json.loads(body)
-            except ValueError:
-                parsed = {"error": {"type": "opaque", "message": body}}
-            raise ServeError(exc.code, parsed) from None
+                connection.request(
+                    method, self._prefix + path, body=body, headers=headers
+                )
+                response = connection.getresponse()
+                data = response.read()
+                break
+            except ConnectionError:
+                connection.close()
+                if not retry:
+                    raise
+                retry = False
+            except BaseException:
+                connection.close()
+                raise
+        if response.status >= 400:
+            raise _serve_error(response.status, data)
+        return json.loads(data.decode("utf-8"))
 
     # -- endpoints -----------------------------------------------------------
 
@@ -190,12 +233,7 @@ class CampaignClient:
                 request, timeout=self.timeout
             )
         except urllib.error.HTTPError as exc:
-            body = exc.read().decode("utf-8", "replace")
-            try:
-                parsed = json.loads(body)
-            except ValueError:
-                parsed = {"error": {"type": "opaque", "message": body}}
-            raise ServeError(exc.code, parsed) from None
+            raise _serve_error(exc.code, exc.read()) from None
         with response:
             for line in response:
                 line = line.strip()

@@ -3,10 +3,10 @@
 :class:`CampaignServer` turns the CLI campaign engine into an always-on
 service: tenants ``POST`` ordinary :class:`~repro.campaign.spec
 .CampaignSpec` JSON to ``/campaigns``, the server expands the grid,
-queues the pending cells to a pool of hash-sharded worker threads
-draining one shared store root, and streams progress back over plain
-HTTP.  Everything is standard library — ``http.server`` + ``threading``
-+ ``queue`` — so the daemon adds zero runtime dependencies.
+queues the pending cells to worker processes draining one shared store
+root, and streams progress back over plain HTTP/1.1.  Everything is
+standard library — ``http.server`` + ``threading`` + ``os.fork`` — so
+the daemon adds zero runtime dependencies.
 
 Endpoints
 ---------
@@ -29,18 +29,33 @@ Endpoints
 
 Execution model
 ---------------
-The queue is partitioned exactly like a store-v2 worker fleet: cell
-keys route to worker ``shard_of(key, workers)``
-(:func:`~repro.campaign.executor.shard_of`), so every cell key is owned
-by one worker thread.  That ownership is what makes cross-tenant dedup
-race-free *without locks around execution*: two tenants submitting the
-same cell key enqueue it to the same worker, which executes the first
-occurrence and resolves the second from the server's done map — every
-shared cell executes **exactly once** per root, however many tenants
-ask for it.  Cells a sibling campaign computed before this daemon
-started resolve through the root's
+Pending cells join one first-in, first-out queue drained by
+``workers`` slot threads.  Each slot owns one worker process, forked by
+:meth:`CampaignServer.start` before any thread starts: the slot sends a
+cell's descriptor down the worker's socket and waits for the reply
+(``runner._run_or_traceback``, the function ``iter_runs``' pool runs),
+so cells run on as many cores as there are workers while the parent
+keeps every dedup decision.  One lock guards the done map (cell key ->
+stored record) and the in-flight map (cell key -> the cells parked
+behind its execution).  A slot that pops a key already in flight parks
+the cell and takes the next one; the slot that lands the key resolves
+each parked cell from the landed record, or re-queues one the record
+does not satisfy (a ``keep_series`` cell behind a series-less run).
+So every shared cell executes **exactly once** per root, however many
+tenants ask for it.  Cells a sibling campaign computed before this
+daemon started resolve through the root's
 :class:`~repro.campaign.index.StoreIndex` (refreshed once at startup),
 so dedup spans daemon restarts too.
+
+A worker that dies fails the cell it was running (the error names the
+cell and the worker's exit code), and its slot forks a replacement; a
+resubmission executes exactly the failed cells.  A custom ``run_fn``
+runs in the slot threads instead, and no process starts.
+
+The front end speaks HTTP/1.1 with keep-alive, so a client polling
+status reuses one connection
+(:class:`~repro.campaign.client.CampaignClient` does); the NDJSON event
+stream closes its connection when it ends.
 
 Byte contract
 -------------
@@ -63,11 +78,12 @@ single-scan invariant ``tests/campaign/test_executor.py`` pins for
 import json
 import os
 import queue
+import signal
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.campaign.executor import shard_of
 from repro.campaign.index import StoreIndex
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import (
@@ -75,7 +91,7 @@ from repro.campaign.store import (
     encode_result,
     record_satisfies,
 )
-from repro.experiments.runner import run_cell
+from repro.experiments import runner
 
 #: Default TCP port of ``campaign serve`` (0 = ephemeral).
 DEFAULT_PORT = 8642
@@ -86,6 +102,10 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 
 #: Campaign lifecycle states reported by the status endpoints.
 STATES = ("running", "completed", "failed")
+
+#: Seconds a kept-alive connection may sit idle before the daemon
+#: closes it.
+IDLE_TIMEOUT_S = 30.0
 
 
 class BadRequest(Exception):
@@ -156,8 +176,91 @@ class _Campaign:
         self.cond.notify_all()
 
 
+def _send(sock, obj):
+    """Pickle one object onto ``sock``; the peer's :func:`_receive`
+    reads it."""
+    # Imported here and in _receive: an importer that forks no worker
+    # does not load pickle.
+    import pickle
+
+    sock.sendall(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+
+
+def _receive(reader):
+    """The next object on ``reader``; ``EOFError`` once the peer is gone
+    (also when it died partway through sending)."""
+    import pickle
+
+    try:
+        return pickle.load(reader)
+    except pickle.UnpicklingError:
+        raise EOFError("message cut short") from None
+
+
+def _work(sock):
+    """A worker process: reply to each descriptor the parent sends with
+    the cell's result (or its traceback) until the socket reaches EOF."""
+    reader = sock.makefile("rb")
+    while True:
+        try:
+            descriptor = _receive(reader)
+        except EOFError:
+            return
+        _send(sock, runner._run_or_traceback(descriptor))
+
+
+class _Worker:
+    """One forked worker process and the parent's end of its socket pair.
+
+    ``inherited`` are the parent's handles the child closes: the
+    listening socket and the other workers' ends (a child holding one
+    would keep that worker from seeing EOF).
+    """
+
+    def __init__(self, inherited):
+        self.sock, theirs = socket.socketpair()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                # Ctrl-C reaches the whole process group; the parent
+                # drains first.
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                for handle in inherited + [self.sock]:
+                    handle.close()
+                _work(theirs)
+                status = 0
+            finally:
+                os._exit(status)
+        theirs.close()
+        self.reader = self.sock.makefile("rb")
+        self.exitcode = None
+
+    def run(self, descriptor):
+        """The cell's result or traceback string; ``None`` when the
+        worker died (it is reaped, so ``exitcode`` is set)."""
+        try:
+            _send(self.sock, descriptor)
+            return _receive(self.reader)
+        except (EOFError, OSError):
+            self.stop()
+            return None
+
+    def terminate(self):
+        if self.exitcode is None:
+            os.kill(self.pid, signal.SIGTERM)
+
+    def stop(self):
+        """Close our end (the worker exits on EOF) and reap the worker."""
+        self.reader.close()
+        self.sock.close()
+        if self.exitcode is None:
+            _, status = os.waitpid(self.pid, 0)
+            self.exitcode = os.waitstatus_to_exitcode(status)
+
+
 class CampaignServer:
-    """The sweep daemon: HTTP front end + hash-sharded worker pool.
+    """The sweep daemon: HTTP front end + worker processes on one queue.
 
     Parameters
     ----------
@@ -166,13 +269,14 @@ class CampaignServer:
         one dedup scope: a cell key computed for any campaign under the
         root is never executed again for any other.
     workers:
-        Worker threads draining the cell queues.  Cells partition by
-        ``shard_of(key, workers)``, so one worker owns each key.
+        Worker processes (one per slot thread) draining the cell queue.
     run_fn:
-        ``run_fn(descriptor) -> RunResult`` executing one cell
-        (default: :func:`~repro.experiments.runner.run_cell`, the cell
-        runner ``run_campaign``'s sweeps use).  Tests inject fakes here;
-        the byte contract only constrains how results are *encoded*.
+        ``run_fn(descriptor) -> RunResult`` executing one cell in the
+        slot threads.  The default, ``None``, runs each cell in a worker
+        process through :func:`~repro.experiments.runner.run_cell`, the
+        cell runner ``run_campaign``'s sweeps use.  Tests inject fakes
+        here; the byte contract only constrains how results are
+        *encoded*.
     host / port:
         Bind address.  ``port=0`` picks an ephemeral port; the bound
         port is ``self.port`` either way.
@@ -183,21 +287,30 @@ class CampaignServer:
         self.root = root
         os.makedirs(root, exist_ok=True)
         self.workers = max(1, int(workers))
-        self.run_fn = run_fn if run_fn is not None else run_cell
+        self.run_fn = run_fn
         self.started_at = time.time()
         self._registry = {}
         self._registry_lock = threading.Lock()
+        #: Guards ``_done`` and ``_inflight``: every dedup decision.
+        self._lock = threading.Lock()
         #: Cross-tenant done map: cell key -> raw stored record.  Fed by
-        #: every record loaded at registration or produced by a worker;
-        #: the in-memory face of the root's dedup index.
+        #: every record loaded at registration or landed by a slot; the
+        #: in-memory face of the root's dedup index.
         self._done = {}
+        #: Cell keys executing now -> the ``(campaign, descriptor)``
+        #: cells parked behind them.
+        self._inflight = {}
         self._rejected = 0
-        self._queues = [queue.Queue() for _ in range(self.workers)]
-        self._threads = []
+        self._queue = queue.Queue()
+        self._slots = []
+        #: Slot index -> its worker process (empty with a ``run_fn``).
+        self._workers = []
+        self._fork_lock = threading.Lock()
         self._running = False
+        self._abandon = False
         # Sibling campaigns written before this daemon started join the
         # dedup scope through the persistent index, refreshed once here
-        # (workers only call the read-only, seek-and-verify lookup()).
+        # (slots only call the read-only, seek-and-verify lookup()).
         self._index = StoreIndex(root)
         self._index.refresh()
         self._httpd = _HTTPServer((host, port), _Handler)
@@ -212,23 +325,32 @@ class CampaignServer:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self):
-        """Start the worker pool and the HTTP listener (non-blocking)."""
+        """Fork the workers, then start the slot threads and the HTTP
+        listener (non-blocking)."""
         if self._running:
             return self
         self._running = True
-        for wid in range(self.workers):
+        if self.run_fn is None:
+            # Every first fork happens before any thread of ours runs.
+            self._workers = [None] * self.workers
+            for index in range(self.workers):
+                self._fork(index)
+        for index in range(self.workers):
             thread = threading.Thread(
-                target=self._worker, args=(wid,),
-                name="serve-worker-{}".format(wid), daemon=True,
+                target=self._slot, args=(index,),
+                name="serve-slot-{}".format(index), daemon=True,
             )
             thread.start()
-            self._threads.append(thread)
-        http_thread = threading.Thread(
+            self._slots.append(thread)
+        threading.Thread(
             target=self._httpd.serve_forever, name="serve-http", daemon=True
-        )
-        http_thread.start()
-        self._threads.append(http_thread)
+        ).start()
         return self
+
+    def worker_pids(self):
+        """Process ids of the slots' current workers (empty with a
+        ``run_fn`` and after shutdown)."""
+        return [worker.pid for worker in self._workers]
 
     def serve_forever(self):
         """Blocking variant for the CLI: start, then wait for shutdown."""
@@ -245,27 +367,38 @@ class CampaignServer:
         """Stop the daemon.
 
         ``drain=True`` (the default) finishes every queued cell first —
-        the clean shutdown; ``drain=False`` abandons queued cells (they
-        were never registered anywhere but the queue, so a resubmission
-        after restart re-queues exactly the unfinished ones).
+        the clean shutdown; ``drain=False`` abandons queued cells and
+        terminates the workers, abandoning the cells they were running
+        too (nothing but the queue held them, so a resubmission after
+        restart re-queues exactly the unfinished ones).  A ``run_fn``
+        cell in flight still finishes.  Either way every worker is
+        reaped before this returns, and kept-alive connections close.
         """
         if not self._running:
             return
         self._running = False
-        if not drain:
-            for cell_queue in self._queues:
-                while True:
-                    try:
-                        cell_queue.get_nowait()
-                    except queue.Empty:
-                        break
-        for cell_queue in self._queues:
-            cell_queue.put(None)
-        for thread in self._threads:
-            if thread.name.startswith("serve-worker"):
-                thread.join()
+        if drain:
+            # A parked cell is re-queued before the cell it waited on is
+            # marked done, so this also waits for parked cells.
+            self._queue.join()
+        else:
+            self._abandon = True
+            while True:
+                try:
+                    self._queue.get_nowait()
+                except queue.Empty:
+                    break
+                self._queue.task_done()
+            for worker in list(self._workers):
+                worker.terminate()
+        for _ in self._slots:
+            self._queue.put(None)
+        for thread in self._slots:
+            thread.join()
+        self._workers = []
         self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.close_connections()
         for campaign in list(self._registry.values()):
             campaign.store.close()
         if drain:
@@ -315,9 +448,7 @@ class CampaignServer:
                 with campaign.cond:
                     return 200, campaign.status()
             for descriptor, key in pending:
-                self._queues[shard_of(key, self.workers)].put(
-                    (campaign, descriptor, key)
-                )
+                self._queue.put((campaign, descriptor, key))
             with campaign.cond:
                 return (201 if fresh else 200), campaign.status()
 
@@ -335,7 +466,8 @@ class CampaignServer:
                 if campaign.store.has_result(descriptor, key=key):
                     # Resumed cells join the cross-tenant done map so
                     # other tenants dedup against them live.
-                    self._done.setdefault(key, campaign.store.get(key))
+                    with self._lock:
+                        self._done.setdefault(key, campaign.store.get(key))
                 else:
                     pending.append((descriptor, key))
             # The single-scan invariant: partitioning hits the store's
@@ -357,43 +489,91 @@ class CampaignServer:
                 campaign.emit("completed", state=campaign.state())
             return pending
 
-    # -- worker pool ---------------------------------------------------------
+    # -- slots and workers ---------------------------------------------------
 
-    def _worker(self, wid):
-        cell_queue = self._queues[wid]
+    def _fork(self, index):
+        """Start slot ``index``'s worker process."""
+        with self._fork_lock:
+            inherited = [self._httpd.socket]
+            for worker in self._workers:
+                if worker is not None:
+                    inherited += [worker.reader, worker.sock]
+            self._workers[index] = _Worker(inherited)
+
+    def _slot(self, index):
         while True:
-            item = cell_queue.get()
-            if item is None:
-                return
-            campaign, descriptor, key = item
-            self._resolve_cell(campaign, descriptor, key)
+            item = self._queue.get()
+            try:
+                if item is None:
+                    break
+                self._resolve_cell(index, *item)
+            finally:
+                self._queue.task_done()
+        if self._workers:
+            self._workers[index].stop()
 
-    def _resolve_cell(self, campaign, descriptor, key):
-        """Dedup or execute one cell and checkpoint it.
+    def _resolve_cell(self, index, campaign, descriptor, key):
+        """Dedup, park or execute one cell and checkpoint it.
 
-        The shard routing guarantees this worker is the only thread
-        resolving ``key`` anywhere on the root, so the done-map check
-        and the execution are race-free without a per-key lock.
+        Under ``_lock`` a key is done, in flight (the cell parks behind
+        it) or claimed by this slot, so no key executes twice at once.
+        The slot that claimed it lands the record and resolves every
+        cell parked behind it.
         """
-        record = self._done.get(key)
-        if not record_satisfies(record, descriptor):
-            record = self._index.lookup(key)
+        with self._lock:
+            record = self._done.get(key)
             if not record_satisfies(record, descriptor):
                 record = None
+                parked = self._inflight.get(key)
+                if parked is not None:
+                    parked.append((campaign, descriptor))
+                    return
+                self._inflight[key] = []
         if record is not None:
-            self._done.setdefault(key, record)
-            self._finish(campaign, descriptor, key, "deduped",
-                         record=record)
+            self._finish(campaign, descriptor, key, "deduped", record=record)
             return
-        try:
-            result = self.run_fn(descriptor)
-        except Exception as exc:
-            self._finish(campaign, descriptor, key, "failed",
-                         error="{}: {}".format(type(exc).__name__, exc))
-            return
-        record = encode_result(descriptor, result, key=key)
-        self._done[key] = record
-        self._finish(campaign, descriptor, key, "executed", record=record)
+        outcome, error = "deduped", None
+        record = self._index.lookup(key)
+        if not record_satisfies(record, descriptor):
+            executed = self._execute(index, descriptor, key)
+            if executed is None:
+                return  # abandoned by shutdown(drain=False)
+            outcome, record, error = executed
+        with self._lock:
+            if record is not None:
+                self._done[key] = record
+            parked = self._inflight.pop(key)
+        self._finish(campaign, descriptor, key, outcome, record=record,
+                     error=error)
+        for other, wanted in parked:
+            if record_satisfies(record, wanted):
+                self._finish(other, wanted, key, "deduped", record=record)
+            else:
+                self._queue.put((other, wanted, key))
+
+    def _execute(self, index, descriptor, key):
+        """Run one cell: ``(outcome, record, error)``, or ``None`` when
+        ``shutdown(drain=False)`` terminated its worker."""
+        if self.run_fn is not None:
+            try:
+                result = self.run_fn(descriptor)
+            except Exception as exc:
+                return "failed", None, "{}: {}".format(
+                    type(exc).__name__, exc)
+        else:
+            worker = self._workers[index]
+            result = worker.run(descriptor)
+            if result is None:
+                if self._abandon:
+                    return None
+                self._fork(index)
+                return "failed", None, (
+                    "worker process {} died (exit code {}) running cell "
+                    "{}".format(worker.pid, worker.exitcode, descriptor.cell())
+                )
+            if isinstance(result, str):  # the worker's formatted traceback
+                return "failed", None, result.strip().splitlines()[-1]
+        return "executed", encode_result(descriptor, result, key=key), None
 
     def _finish(self, campaign, descriptor, key, outcome, record=None,
                 error=None):
@@ -458,6 +638,7 @@ class CampaignServer:
             "status": "ok",
             "root": self.root,
             "workers": self.workers,
+            "worker_pids": self.worker_pids(),
             "campaigns": len(self._registry),
         }
 
@@ -475,7 +656,7 @@ class CampaignServer:
         totals["campaigns"] = len(self._registry)
         totals["submissions_rejected"] = self._rejected
         totals["workers"] = self.workers
-        totals["queue_depth"] = sum(q.qsize() for q in self._queues)
+        totals["queue_depth"] = self._queue.qsize()
         totals["uptime_s"] = round(time.time() - self.started_at, 3)
         return totals
 
@@ -496,7 +677,7 @@ class CampaignServer:
                 fresh = campaign.events[cursor:]
                 cursor = len(campaign.events)
             # Emit outside the lock: a slow consumer never stalls the
-            # worker pool.
+            # slots.
             for event in fresh:
                 yield event
 
@@ -507,14 +688,45 @@ class _HTTPServer(ThreadingHTTPServer):
     #: Set by :class:`CampaignServer` right after construction.
     app = None
 
+    def __init__(self, address, handler):
+        self._connections = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self):
+        """Hang up every open connection: a handler thread waiting for a
+        kept-alive client's next request reads EOF and ends."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the client hung up first
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Routes the endpoint table above onto the :class:`CampaignServer`."""
 
     server_version = "repro-campaign-serve"
-    # HTTP/1.0: every response closes its connection, so the NDJSON
-    # event stream needs no chunked framing — readers consume to EOF.
-    protocol_version = "HTTP/1.0"
+    # HTTP/1.1 keeps a client's connection open across requests: every
+    # JSON reply carries its Content-Length, and the NDJSON event stream
+    # (no length) closes its connection when it ends.
+    protocol_version = "HTTP/1.1"
+    # Headers and body are separate writes; with Nagle's algorithm on, a
+    # kept-alive body would wait for the client's delayed ACK.
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
 
     def log_message(self, format, *args):  # noqa: A002 (stdlib signature)
         """Silence per-request logging (the CLI reports its own URL)."""
@@ -528,6 +740,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -584,6 +798,7 @@ class _Handler(BaseHTTPRequestHandler):
             if segments == ["campaigns"]:
                 status, body = self.app.submit(self._read_json())
                 return self._send_json(status, body)
+            self.close_connection = True  # the body stays unread
             raise BadRequest(
                 404, "not-found", "no route {!r}".format(self.path)
             )
@@ -601,6 +816,12 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
+            length = None
+        if length is None or not 0 < length <= MAX_BODY_BYTES:
+            # The body stays unread, so no request can follow it on this
+            # connection.
+            self.close_connection = True
+        if length is None:
             raise BadRequest(400, "invalid-request",
                              "unreadable Content-Length")
         if length <= 0:
@@ -631,6 +852,7 @@ class _Handler(BaseHTTPRequestHandler):
         iterator = self.app.iter_events(name, follow=follow)
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Connection", "close")  # the stream ends at EOF
         self.end_headers()
         try:
             for event in iterator:
@@ -640,5 +862,5 @@ class _Handler(BaseHTTPRequestHandler):
                     )
                 )
                 self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # consumer hung up mid-stream; nothing to clean up
+        except OSError:
+            pass  # consumer hung up or stalled mid-stream

@@ -310,8 +310,8 @@ def build_parser():
     )
     sv_p.add_argument(
         "--workers", type=int, default=2, metavar="K",
-        help="worker threads draining the cell queues; cells partition "
-             "deterministically by key hash (default: 2)",
+        help="worker processes running the cells, all drawing from one "
+             "queue (default: 2)",
     )
 
     def _add_client_arguments(parser):
@@ -792,7 +792,8 @@ def cmd_campaign_serve(args):
 
     Prints the bound URL (stdout — the artefact a wrapper script needs,
     especially with ``--port 0``), then serves until SIGINT; shutdown
-    drains the queues and refreshes the root's dedup index.
+    drains the queue, reaps the worker processes and refreshes the
+    root's dedup index.
     """
     server = serve.CampaignServer(
         args.root, workers=args.workers, host=args.host, port=args.port

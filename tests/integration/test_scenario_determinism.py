@@ -10,8 +10,10 @@ the same property for the campaign store).  Three angles:
   ``FaultInjector._inject`` body scheduled directly on the kernel) must
   match today's ``run_single(faults=n)`` — this pins the RNG contract
   (stream name, alive-list order, ``min``-capped ``rng.sample``);
-* ``run_single(faults=n)`` must equal ``run_single(scenario=burst)`` —
-  the declarative spelling of the same fault;
+* a burst-scenario cell must row up like the count cell of the same
+  size: ``run_single(faults=n)`` applies that same burst, so this pins
+  the runner's scenario boundary and ``faults`` column, not a second
+  injection path;
 * a campaign over ``fault_counts`` must equal the plain sequential seed
   path, cold and resumed, and scenario cells must hash apart from
   legacy cells.
@@ -98,7 +100,16 @@ def test_zero_burst_scenario_matches_legacy_zero_faults():
 
 @pytest.mark.parametrize("model", _MODELS)
 @pytest.mark.parametrize("faults", [1, 5])
-def test_burst_scenario_matches_legacy_counts(model, faults):
+def test_burst_scenario_cell_rows_up_like_its_count_cell(model, faults):
+    """A burst-scenario cell gets the count cell's row (plus its
+    ``scenario`` column), NoC stats and app stats.
+
+    ``run_single(faults=n)`` injects ``FaultScenario.burst(n)`` as well,
+    so both sides run the same injector.  What this pins is
+    ``run_single``'s handling of each side: the recovery boundary (the
+    config's fault time against the scenario's first fault) and the
+    ``faults`` column (the count against the injected victims).
+    """
     legacy = run_single(
         model, seed=12, faults=faults, config=_CONFIG, keep_series=False
     )

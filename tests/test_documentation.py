@@ -197,8 +197,7 @@ def test_missing_python_flags_a_dangling_path(tmp_path):
     checker = _load_link_checker()
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "real.py").write_text("")
-    # Spelled apart: this file's own literals are checked too.
-    real, gone = "/".join(("pkg", "real.py")), "/".join(("pkg", "gone.py"))
+    real, gone = "pkg/real.py", "pkg/gone.py"
     source = tmp_path / "module.py"
     source.write_text(
         '"""See {}, {}, tools/check_doc_links.py, repro/sim/engine.py '
@@ -208,6 +207,19 @@ def test_missing_python_flags_a_dangling_path(tmp_path):
     doc = tmp_path / "notes.md"
     doc.write_text("Run `{}`, not `{}`.\n".format(real, gone))
     assert checker.missing_python(str(doc)) == [gone]
+
+
+def test_missing_python_reads_only_docstrings(tmp_path):
+    checker = _load_link_checker()
+    source = tmp_path / "module.py"
+    # A code literal is data: a test may write a fixture under any name.
+    source.write_text('FIXTURE = "pkg/low/a.py"\n')
+    assert checker.missing_python(str(source)) == []
+    source.write_text(
+        '"""Module."""\n\n\nclass Reader:\n'
+        '    def read(self):\n        """Reads pkg/low/a.py."""\n'
+    )
+    assert checker.missing_python(str(source)) == ["pkg/low/a.py"]
 
 
 def test_docs_make_targets_exist():

@@ -1,7 +1,7 @@
 """Docs link check: every relative markdown link, every markdown file
 named in a ``src/`` or ``benchmarks/`` docstring or string, and every
 Python file named by path in the docs or a ``src/``, ``benchmarks/`` or
-``tests/`` string, must resolve.
+``tests/`` docstring, must resolve.
 
 Scans ``README.md`` and every ``docs/*.md`` for markdown links
 (``[text](target)``), skips external schemes (``http://``, ``https://``,
@@ -11,11 +11,13 @@ remaining target exists relative to the file that links it (dropping any
 every ``*.py`` file under ``src/`` and ``benchmarks/`` for ``*.md`` file
 names and verifies each exists relative to the repo root or to the
 naming file's directory.  Last, it scans the same docs' text and the
-string literals under ``src/``, ``benchmarks/`` and ``tests/`` for
-path-like ``*.py`` names (``tests/sim/test_engine.py``,
-``repro/noc/network.py`` — at least one ``/``) and verifies each exists
-relative to the repo root, to ``src/`` or to the naming file's
-directory.  Then every backticked ``make X`` in the same docs must name
+module, class and function docstrings under ``src/``, ``benchmarks/``
+and ``tests/`` for path-like ``*.py`` names
+(``tests/sim/test_engine.py``, ``repro/noc/network.py`` — at least one
+``/``) and verifies each exists relative to the repo root, to ``src/``
+or to the naming file's directory.  Other string literals are data (a
+test writes fixture files under any name it likes), so they are not
+read for ``*.py`` paths.  Then every backticked ``make X`` in the same docs must name
 a Makefile target (a line ``X:``; names holding ``*`` are patterns and
 skipped).  Exits non-zero listing every dangling link or name — wired
 into ``make lint`` so a moved file or a deleted target breaks the build,
@@ -102,15 +104,26 @@ def source_files(trees=SOURCE_TREES):
     return paths
 
 
-def _string_names(path, pattern):
-    """Every match of ``pattern`` in one Python file's string literals."""
+#: Nodes whose first statement may be a docstring (the module too).
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _string_names(path, pattern, docstrings_only=False):
+    """Every match of ``pattern`` in one Python file's string literals,
+    or only in its module, class and function docstrings."""
     with open(path, "rb") as handle:
         tree = ast.parse(handle.read(), path)
-    names = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.extend(pattern.findall(node.value))
-    return names
+    if docstrings_only:
+        texts = [
+            ast.get_docstring(node, clean=False) or ""
+            for node in ast.walk(tree) if isinstance(node, DOCUMENTED)
+        ]
+    else:
+        texts = [
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        ]
+    return [name for text in texts for name in pattern.findall(text)]
 
 
 def _missing(names, bases):
@@ -132,13 +145,13 @@ def missing_markdown(path):
 
 def missing_python(path):
     """The path-like ``*.py`` names in one markdown file's text, or one
-    Python file's string literals, that exist neither under the repo
-    root, under ``src/``, nor next to the file."""
+    Python file's docstrings, that exist neither under the repo root,
+    under ``src/``, nor next to the file."""
     if path.endswith(".md"):
         with open(path) as handle:
             names = PY_PATH_RE.findall(handle.read())
     else:
-        names = _string_names(path, PY_PATH_RE)
+        names = _string_names(path, PY_PATH_RE, docstrings_only=True)
     return _missing(
         names,
         (REPO_ROOT, os.path.join(REPO_ROOT, "src"), os.path.dirname(path)),
