@@ -78,6 +78,8 @@ class FakeCells:
         self.block = set(block)
         self.first_only = first_only
         self.busy_s = busy_s
+        #: The test process, which forks the workers.
+        self.parent = os.getpid()
 
     def __call__(self, descriptor):
         key = descriptor.key()
@@ -86,7 +88,10 @@ class FakeCells:
         )
         with open(self.log, "a") as handle:
             handle.write("{} {}\n".format(os.getpid(), key))
-        while blocked and not os.path.exists(self.gate):
+        # A blocked worker also gives up once its parent is gone, so a
+        # test killed mid-wait leaves no orphan behind.
+        while (blocked and not os.path.exists(self.gate)
+               and os.getppid() == self.parent):
             time.sleep(0.002)
         start = time.process_time()
         while time.process_time() - start < self.busy_s:
