@@ -5,8 +5,8 @@ service: tenants ``POST`` ordinary :class:`~repro.campaign.spec
 .CampaignSpec` JSON to ``/campaigns``, the server expands the grid,
 queues the pending cells to worker processes draining one shared store
 root, and streams progress back over plain HTTP/1.1.  Everything is
-standard library — ``http.server`` + ``threading`` + ``os.fork`` — so
-the daemon adds zero runtime dependencies.
+standard library — ``http.server`` + ``threading`` +
+``multiprocessing`` — so the daemon adds zero runtime dependencies.
 
 Endpoints
 ---------
@@ -32,10 +32,11 @@ Execution model
 Pending cells join one first-in, first-out queue drained by
 ``workers`` slot threads.  Each slot owns one worker process, forked by
 :meth:`CampaignServer.start` before any thread starts: the slot sends a
-cell's descriptor down the worker's socket and waits for the reply
-(``runner._run_or_traceback``, the function ``iter_runs``' pool runs),
-so cells run on as many cores as there are workers while the parent
-keeps every dedup decision.  One lock guards the done map (cell key ->
+cell's descriptor down the worker's pipe and waits for the reply (the
+result of :func:`~repro.experiments.runner.run_cell`, the cell runner
+``iter_runs`` uses, or the error it raised), so cells run on as many
+cores as there are workers while the parent keeps every dedup
+decision.  One lock guards the done map (cell key ->
 stored record) and the in-flight map (cell key -> the cells parked
 behind its execution).  A slot that pops a key already in flight parks
 the cell and takes the next one; the slot that lands the key resolves
@@ -48,9 +49,11 @@ daemon started resolve through the root's
 so dedup spans daemon restarts too.
 
 A worker that dies fails the cell it was running (the error names the
-cell and the worker's exit code), and its slot forks a replacement; a
-resubmission executes exactly the failed cells.  A custom ``run_fn``
-runs in the slot threads instead, and no process starts.
+cell and the worker's exit code), and its slot forks a replacement for
+its next cell; a resubmission executes exactly the failed cells.  A
+custom ``run_fn`` runs in the slot threads instead, and no process
+starts.  A failing cell's error reads ``"{type}: {message}"`` either
+way.
 
 The front end speaks HTTP/1.1 with keep-alive, so a client polling
 status reuses one connection
@@ -176,87 +179,67 @@ class _Campaign:
         self.cond.notify_all()
 
 
-def _send(sock, obj):
-    """Pickle one object onto ``sock``; the peer's :func:`_receive`
-    reads it."""
-    # Imported here and in _receive: an importer that forks no worker
-    # does not load pickle.
-    import pickle
-
-    sock.sendall(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+def _error_text(exc):
+    """How a failed cell's error reads in its campaign's status, whether
+    the cell ran in a worker process or in a slot thread."""
+    return "{}: {}".format(type(exc).__name__, exc)
 
 
-def _receive(reader):
-    """The next object on ``reader``; ``EOFError`` once the peer is gone
-    (also when it died partway through sending)."""
-    import pickle
-
+def _outcome(run_fn, descriptor):
+    """``(result, None)``, or ``(None, error text)`` when the cell
+    raises."""
     try:
-        return pickle.load(reader)
-    except pickle.UnpicklingError:
-        raise EOFError("message cut short") from None
+        return run_fn(descriptor), None
+    except Exception as exc:
+        return None, _error_text(exc)
 
 
-def _work(sock):
+def _work(conn, inherited):
     """A worker process: reply to each descriptor the parent sends with
-    the cell's result (or its traceback) until the socket reaches EOF."""
-    reader = sock.makefile("rb")
+    the cell's :func:`_outcome` until the pipe reaches EOF."""
+    # Ctrl-C reaches the whole process group; the parent drains first.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # A worker holding the listening socket or another worker's pipe end
+    # would keep it open.  Closing a socket or a Connection takes no
+    # lock, so this cannot hang on one that a slot thread of the parent
+    # held (mid-recv) when a replacement worker was forked.
+    for handle in inherited:
+        handle.close()
     while True:
         try:
-            descriptor = _receive(reader)
+            descriptor = conn.recv()
         except EOFError:
-            return
-        _send(sock, runner._run_or_traceback(descriptor))
+            # Not through multiprocessing's exit path, which flushes
+            # stdio: a stream lock a parent thread held at the fork
+            # stays held here.
+            os._exit(0)
+        conn.send(_outcome(runner.run_cell, descriptor))
 
 
 class _Worker:
-    """One forked worker process and the parent's end of its socket pair.
+    """One worker process and the parent's end of its pipe."""
 
-    ``inherited`` are the parent's handles the child closes: the
-    listening socket and the other workers' ends (a child holding one
-    would keep that worker from seeing EOF).
-    """
-
-    def __init__(self, inherited):
-        self.sock, theirs = socket.socketpair()
-        self.pid = os.fork()
-        if self.pid == 0:
-            status = 1
-            try:
-                # Ctrl-C reaches the whole process group; the parent
-                # drains first.
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                for handle in inherited + [self.sock]:
-                    handle.close()
-                _work(theirs)
-                status = 0
-            finally:
-                os._exit(status)
+    def __init__(self, context, inherited):
+        self.conn, theirs = context.Pipe()
+        self.process = context.Process(
+            target=_work, args=(theirs, inherited + [self.conn]),
+            name="serve-worker", daemon=True,
+        )
+        self.process.start()
         theirs.close()
-        self.reader = self.sock.makefile("rb")
-        self.exitcode = None
 
     def run(self, descriptor):
-        """The cell's result or traceback string; ``None`` when the
-        worker died (it is reaped, so ``exitcode`` is set)."""
+        """The cell's :func:`_outcome`; ``None`` when the worker died."""
         try:
-            _send(self.sock, descriptor)
-            return _receive(self.reader)
+            self.conn.send(descriptor)
+            return self.conn.recv()
         except (EOFError, OSError):
-            self.stop()
             return None
-
-    def terminate(self):
-        if self.exitcode is None:
-            os.kill(self.pid, signal.SIGTERM)
 
     def stop(self):
         """Close our end (the worker exits on EOF) and reap the worker."""
-        self.reader.close()
-        self.sock.close()
-        if self.exitcode is None:
-            _, status = os.waitpid(self.pid, 0)
-            self.exitcode = os.waitstatus_to_exitcode(status)
+        self.conn.close()
+        self.process.join()
 
 
 class CampaignServer:
@@ -350,7 +333,8 @@ class CampaignServer:
     def worker_pids(self):
         """Process ids of the slots' current workers (empty with a
         ``run_fn`` and after shutdown)."""
-        return [worker.pid for worker in self._workers]
+        return [worker.process.pid for worker in self._workers
+                if worker is not None]
 
     def serve_forever(self):
         """Blocking variant for the CLI: start, then wait for shutdown."""
@@ -390,7 +374,8 @@ class CampaignServer:
                     break
                 self._queue.task_done()
             for worker in list(self._workers):
-                worker.terminate()
+                if worker is not None:
+                    worker.process.terminate()
         for _ in self._slots:
             self._queue.put(None)
         for thread in self._slots:
@@ -492,13 +477,31 @@ class CampaignServer:
     # -- slots and workers ---------------------------------------------------
 
     def _fork(self, index):
-        """Start slot ``index``'s worker process."""
+        """Start slot ``index``'s worker process; returns it."""
+        # Imported here: an importer that starts no worker does not load
+        # multiprocessing.
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
         with self._fork_lock:
             inherited = [self._httpd.socket]
             for worker in self._workers:
                 if worker is not None:
-                    inherited += [worker.reader, worker.sock]
-            self._workers[index] = _Worker(inherited)
+                    inherited.append(worker.conn)
+            worker = self._workers[index] = _Worker(context, inherited)
+        return worker
+
+    def _reap(self, index):
+        """Stop slot ``index``'s worker, if it has one.
+
+        Under the fork lock, so no other slot's fork reaps it first (a
+        ``Process.start`` polls every child) and leaves its exit code
+        unread.
+        """
+        with self._fork_lock:
+            worker, self._workers[index] = self._workers[index], None
+            if worker is not None:
+                worker.stop()
 
     def _slot(self, index):
         while True:
@@ -510,15 +513,16 @@ class CampaignServer:
             finally:
                 self._queue.task_done()
         if self._workers:
-            self._workers[index].stop()
+            self._reap(index)
 
     def _resolve_cell(self, index, campaign, descriptor, key):
         """Dedup, park or execute one cell and checkpoint it.
 
         Under ``_lock`` a key is done, in flight (the cell parks behind
         it) or claimed by this slot, so no key executes twice at once.
-        The slot that claimed it lands the record and resolves every
-        cell parked behind it.
+        The slot that claimed it lands the record, or fails the cell if
+        anything raises on the way, and resolves every cell parked
+        behind it.
         """
         with self._lock:
             record = self._done.get(key)
@@ -532,13 +536,13 @@ class CampaignServer:
         if record is not None:
             self._finish(campaign, descriptor, key, "deduped", record=record)
             return
-        outcome, error = "deduped", None
-        record = self._index.lookup(key)
-        if not record_satisfies(record, descriptor):
+        try:
             executed = self._execute(index, descriptor, key)
-            if executed is None:
-                return  # abandoned by shutdown(drain=False)
-            outcome, record, error = executed
+        except Exception as exc:
+            executed = "failed", None, _error_text(exc)
+        if executed is None:
+            return  # abandoned by shutdown(drain=False)
+        outcome, record, error = executed
         with self._lock:
             if record is not None:
                 self._done[key] = record
@@ -552,27 +556,31 @@ class CampaignServer:
                 self._queue.put((other, wanted, key))
 
     def _execute(self, index, descriptor, key):
-        """Run one cell: ``(outcome, record, error)``, or ``None`` when
+        """Resolve one claimed cell from the index or run it:
+        ``(outcome, record, error)``, or ``None`` when
         ``shutdown(drain=False)`` terminated its worker."""
+        record = self._index.lookup(key)
+        if record_satisfies(record, descriptor):
+            return "deduped", record, None
         if self.run_fn is not None:
-            try:
-                result = self.run_fn(descriptor)
-            except Exception as exc:
-                return "failed", None, "{}: {}".format(
-                    type(exc).__name__, exc)
+            result, error = _outcome(self.run_fn, descriptor)
         else:
-            worker = self._workers[index]
-            result = worker.run(descriptor)
-            if result is None:
+            # A slot whose worker died forks a fresh one for its next
+            # cell.
+            worker = self._workers[index] or self._fork(index)
+            reply = worker.run(descriptor)
+            if reply is None:
                 if self._abandon:
                     return None
-                self._fork(index)
+                self._reap(index)
                 return "failed", None, (
                     "worker process {} died (exit code {}) running cell "
-                    "{}".format(worker.pid, worker.exitcode, descriptor.cell())
+                    "{}".format(worker.process.pid, worker.process.exitcode,
+                                descriptor.cell())
                 )
-            if isinstance(result, str):  # the worker's formatted traceback
-                return "failed", None, result.strip().splitlines()[-1]
+            result, error = reply
+        if error is not None:
+            return "failed", None, error
         return "executed", encode_result(descriptor, result, key=key), None
 
     def _finish(self, campaign, descriptor, key, outcome, record=None,

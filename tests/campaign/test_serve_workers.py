@@ -10,6 +10,9 @@ appears, which lets a test act while a worker is known to be mid-cell.
 * A worker killed mid-cell fails only that cell (the error names the
   cell and the exit code); its slot forks a fresh worker that runs the
   next cells, and a resubmission executes exactly the failed cell.
+  That holds while the other slot waits on a busy worker, and when the
+  fresh worker cannot be forked (that cell fails, its key is freed).
+  A failing cell's error reads the same in a worker and in a slot.
 * Both shutdowns reap every worker, and a clean one counts their CPU
   in ``RUSAGE_CHILDREN``; on Ctrl-C ``campaign serve`` finishes every
   cell, even those running, and exits 0 with no worker left.
@@ -21,6 +24,7 @@ appears, which lets a test act while a worker is known to be mid-cell.
 """
 
 import contextlib
+import errno
 import json
 import os
 import resource
@@ -158,6 +162,16 @@ def store_lines(root, name):
     return lines
 
 
+def shut_down(daemon, drain=True):
+    """``daemon.shutdown(drain)``; false when it does not return in
+    time (its thread is left behind, and does not hold up the exit)."""
+    stopper = threading.Thread(
+        target=daemon.shutdown, args=(drain,), daemon=True)
+    stopper.start()
+    stopper.join(PATIENCE_S)
+    return not stopper.is_alive()
+
+
 def assert_reaped(pids):
     """No pid in ``pids`` names a process, not even a zombie."""
     for pid in pids:
@@ -221,6 +235,98 @@ def test_killed_worker_fails_only_its_cell_and_is_replaced(tmp_path, fake):
     assert set(store_lines(root, "wounded")) == {d.key() for d in descriptors}
 
 
+def test_worker_replaced_while_the_other_slot_waits_mid_cell(
+        tmp_path, fake):
+    root = str(tmp_path / "root")
+    grid = payload("crowded", seeds=(1, 2, 3, 4))
+    keys = keys_of(grid)
+    cells = fake(block=keys[:2])
+    daemon = CampaignServer(root, workers=2).start()
+    pids = daemon.worker_pids()
+    with cells.releasing():
+        client = CampaignClient(daemon.url)
+        client.submit(grid)
+        until(lambda: len(cells.entries()) == 2, "both workers to be mid-cell")
+        victim = dict((key, pid) for pid, key in cells.entries())[keys[1]]
+        os.kill(victim, signal.SIGKILL)
+        # The victim's slot forks a fresh worker for the next cell while
+        # the other slot is still waiting on its blocked worker.
+        until(lambda: len(cells.entries()) == 4,
+              "a fresh worker to run the remaining cells")
+        fresh = {pid for pid, _key in cells.entries()[2:]}
+        assert len(fresh) == 1 and not fresh & set(pids)
+        cells.release()
+        final = client.wait("crowded", timeout=PATIENCE_S)
+    assert shut_down(daemon), "shutdown(drain=True) hung"
+    assert (final.executed, final.failed) == (3, 1)
+    assert [error["key"] for error in final.errors] == [keys[1]]
+    assert_reaped(pids + sorted(fresh))
+
+
+def test_failed_fork_fails_its_cell_and_frees_the_key(tmp_path, fake):
+    root = str(tmp_path / "root")
+    grid = payload("unforked", seeds=(1, 2, 3))
+    keys = keys_of(grid)
+    cells = fake(block=keys[:1], first_only=True)
+    daemon = CampaignServer(root, workers=1).start()
+    refusal = BlockingIOError(errno.EAGAIN, "fork refused")
+    fork, refused = daemon._fork, []
+
+    def refuse_once(index):
+        if not refused:
+            refused.append(index)
+            raise refusal
+        return fork(index)
+
+    daemon._fork = refuse_once
+    with cells.releasing():
+        [pid] = daemon.worker_pids()
+        client = CampaignClient(daemon.url)
+        client.submit(grid)
+        until(lambda: keys[0] in cells.keys(), "the first cell to start")
+        os.kill(pid, signal.SIGKILL)
+        wounded = client.wait("unforked", timeout=PATIENCE_S)
+        # The dead worker's cell fails, and so does the next one, which
+        # had no worker to run on; the third runs on a fresh worker.
+        assert (wounded.failed, wounded.executed) == (2, 1)
+        errors = {error["key"]: error["error"] for error in wounded.errors}
+        assert "died (exit code -9)" in errors[keys[0]]
+        assert errors[keys[1]] == "BlockingIOError: " + str(refusal)
+        client.submit(grid)
+        healed = client.wait("unforked", timeout=PATIENCE_S)
+    assert shut_down(daemon), "shutdown(drain=True) hung"
+    assert healed.state == "completed"
+    assert (healed.executed, healed.cached, healed.failed) == (2, 1, 0)
+    assert sorted(cells.keys()) == sorted([keys[0]] + keys)
+
+
+class CellError(Exception):
+    """Defined outside builtins, so its name could come out qualified."""
+
+
+def raising_cell(descriptor):
+    error = CellError("cell {} failed\non two lines".format(descriptor.seed))
+    if hasattr(error, "add_note"):  # Python 3.11 and later
+        error.add_note("and a note")
+    raise error
+
+
+def test_failing_cell_reads_the_same_in_a_worker_and_a_slot(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "run_cell", raising_cell)
+    grid = payload("raising", seeds=(1,))
+    errors = []
+    for path, run_fn in (("worker", None), ("slot", raising_cell)):
+        root = str(tmp_path / path)
+        with CampaignServer(root, workers=1, run_fn=run_fn) as daemon:
+            assert bool(daemon.worker_pids()) == (run_fn is None)
+            client = CampaignClient(daemon.url)
+            client.submit(grid)
+            [error] = client.wait("raising", timeout=PATIENCE_S).errors
+        errors.append(error["error"])
+    assert errors == ["CellError: cell 1 failed\non two lines"] * 2
+
+
 def test_clean_shutdown_finishes_the_queue_and_reaps_workers(tmp_path, fake):
     root = str(tmp_path / "root")
     grid = payload("drained", seeds=(1, 2, 3, 4))
@@ -250,13 +356,9 @@ def test_hard_shutdown_mid_cell_abandons_it_and_reaps_workers(
     pids = daemon.worker_pids()
     CampaignClient(daemon.url).submit(grid)
     until(lambda: len(cells.entries()) == 2, "both workers to be mid-cell")
-    stopper = threading.Thread(target=daemon.shutdown, args=(False,))
-    stopper.start()
-    stopper.join(PATIENCE_S)
-    stuck = stopper.is_alive()
-    cells.release()  # lets a shutdown stuck behind the cells finish
-    stopper.join()
-    assert not stuck, "shutdown(drain=False) waited for the running cells"
+    with cells.releasing():  # lets a shutdown stuck behind the cells end
+        assert shut_down(daemon, drain=False), (
+            "shutdown(drain=False) waited for the running cells")
     assert_reaped(pids)
     # Nothing landed: the two running cells were abandoned like the
     # queued one, so a restart re-queues all three.
