@@ -286,7 +286,8 @@ class CampaignServer:
         self._rejected = 0
         self._queue = queue.Queue()
         self._slots = []
-        #: Slot index -> its worker process (empty with a ``run_fn``).
+        #: Slot index -> its worker process, ``None`` from the death of
+        #: one until the slot's next cell (empty with a ``run_fn``).
         self._workers = []
         self._fork_lock = threading.Lock()
         self._running = False

@@ -368,14 +368,22 @@ def test_hard_shutdown_mid_cell_abandons_it_and_reaps_workers(
 
 def test_serve_cli_drains_on_ctrl_c_and_reaps_workers(tmp_path):
     src = os.path.dirname(os.path.dirname(repro.__file__))
-    # Its own session, so SIGINT can reach the whole process group the
-    # way a terminal's Ctrl-C does: the workers must ignore it.
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.experiments.cli", "campaign", "serve",
-         "--root", str(tmp_path), "--port", "0", "--workers", "2"],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-        env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
-    )
+    # A shell that runs the tests as a background job starts them with
+    # SIGINT ignored, which an exec keeps: the daemon gets the default
+    # disposition a terminal gives it.
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        # Its own session, so SIGINT can reach the whole process group
+        # the way a terminal's Ctrl-C does: the workers must ignore it.
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments.cli", "campaign",
+             "serve", "--root", str(tmp_path), "--port", "0",
+             "--workers", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+        )
+    finally:
+        signal.signal(signal.SIGINT, previous)
     try:
         url = process.stdout.readline().strip()
         assert url.startswith("http://")
